@@ -23,8 +23,15 @@ influence ``∇_W δ = 2 ∇_S δ ∘ W``, so the backward pass also stays spars
 
 Two code paths are provided with identical semantics: a dense numpy path
 (used by :class:`repro.core.least.LEAST`, the analog of the paper's LEAST-TF)
-and a CSR-sparse path (used by :class:`repro.core.least_sparse.SparseLEAST`,
-the analog of LEAST-SP).
+and a sparse path (used by :class:`repro.core.least_sparse.SparseLEAST`, the
+analog of LEAST-SP).  Every ``S^(j)`` has the support of ``W``, so the sparse
+path builds no matrix per round: both passes run on flat ``nnz``-length arrays
+over one fixed ``(indices, indptr)`` pair, with row sums from
+``np.add.reduceat`` and column sums from ``np.bincount`` (what scipy's
+``csr.sum`` runs, so the results are bitwise those of per-round CSR
+matrices).  For canonical CSR input the gradient is built on the input's own
+``indices``/``indptr``, stored zeros included, so ``gradient.data`` lines up
+with ``weights.data`` entry for entry.
 """
 
 from __future__ import annotations
@@ -79,10 +86,8 @@ def _safe_divide(numerator: np.ndarray, denominator: np.ndarray) -> np.ndarray:
     subnormal value) are also mapped to 0: they correspond to directions where
     the bound is effectively non-differentiable and any subgradient is valid.
     """
-    out = np.zeros_like(numerator, dtype=float)
-    mask = denominator != 0
-    with np.errstate(over="ignore", invalid="ignore"):
-        out[mask] = numerator[mask] / denominator[mask]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        out = numerator / denominator
     out[~np.isfinite(out)] = 0.0
     return out
 
@@ -115,7 +120,7 @@ def _forward_dense(s0: np.ndarray, k: int, alpha: float) -> tuple[float, list[np
 
 
 def _xy_vectors(
-    matrix: np.ndarray | sp.spmatrix, alpha: float
+    row_sums: np.ndarray, col_sums: np.ndarray, alpha: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Compute the x and y vectors of Lemma 3 for one level of the iteration.
 
@@ -124,12 +129,6 @@ def _xy_vectors(
     respectively.  Positions with zero row or column sums get zero, which is a
     valid subgradient choice at those (non-differentiable) points.
     """
-    if sp.issparse(matrix):
-        row_sums = np.asarray(matrix.sum(axis=1)).ravel()
-        col_sums = np.asarray(matrix.sum(axis=0)).ravel()
-    else:
-        row_sums = matrix.sum(axis=1)
-        col_sums = matrix.sum(axis=0)
     ratio_cr = _safe_divide(col_sums, row_sums)
     ratio_rc = _safe_divide(row_sums, col_sums)
     x = alpha * _safe_power(ratio_cr, 1.0 - alpha)
@@ -150,13 +149,13 @@ def _backward_dense(
     by ``W = 0`` when forming ``∇_W δ``.
     """
     k = len(matrices) - 1
-    x_k, y_k = _xy_vectors(matrices[k], alpha)
+    x_k, y_k = _xy_vectors(matrices[k].sum(axis=1), matrices[k].sum(axis=0), alpha)
     gradient = (x_k[:, None] + y_k[None, :]) * mask
 
     for j in range(k, 0, -1):
         previous = matrices[j - 1]
         balance = balances[j - 1]
-        x_prev, y_prev = _xy_vectors(previous, alpha)
+        x_prev, y_prev = _xy_vectors(previous.sum(axis=1), previous.sum(axis=0), alpha)
 
         inverse_balance = _safe_divide(np.ones_like(balance), balance)
         inverse_balance_sq = _safe_divide(np.ones_like(balance), balance**2)
@@ -176,78 +175,88 @@ def _backward_dense(
 
 
 # ---------------------------------------------------------------------------
-# Sparse (CSR) forward / backward
+# Sparse forward / backward on the flat data vector of one CSR support
 # ---------------------------------------------------------------------------
 
 
-def _scale_rows_cols(matrix: sp.csr_matrix, row_scale: np.ndarray, col_scale: np.ndarray) -> sp.csr_matrix:
-    """Return ``diag(row_scale) @ matrix @ diag(col_scale)`` without densifying."""
-    result = matrix.tocoo(copy=True)
-    result.data = result.data * row_scale[result.row] * col_scale[result.col]
-    return result.tocsr()
+def _forward_flat(s0: np.ndarray, indices: np.ndarray, indptr: np.ndarray, k: int, alpha: float):
+    """Sparse counterpart of :func:`_forward_dense` on the data vector ``s0``.
 
-
-def _forward_sparse(
-    s0: sp.csr_matrix, k: int, alpha: float
-) -> tuple[float, list[sp.csr_matrix], list[np.ndarray]]:
-    """Sparse counterpart of :func:`_forward_dense` (CSR matrices throughout)."""
-    matrices = [s0]
-    balances: list[np.ndarray] = []
+    Returns the bound, the row of every stored entry and, per level ``j``, the
+    tuple ``(S^(j) data, row sums, column sums, b^(j), 1 / b^(j))``.
+    """
+    d = len(indptr) - 1
+    counts = np.diff(indptr)
+    rows = np.repeat(np.arange(d), counts)
+    nonempty = np.flatnonzero(counts)
+    levels = []
     current = s0
     for j in range(k + 1):
-        row_sums = np.asarray(current.sum(axis=1)).ravel()
-        col_sums = np.asarray(current.sum(axis=0)).ravel()
+        row_sums = np.zeros(d)
+        if nonempty.size:
+            row_sums[nonempty] = np.add.reduceat(current, indptr[nonempty])
+        col_sums = np.bincount(indices, weights=current, minlength=d)
         balance = _safe_power(row_sums, alpha) * _safe_power(col_sums, 1.0 - alpha)
-        balances.append(balance)
-        if j <= k - 1:
-            inverse_balance = _safe_divide(np.ones_like(balance), balance)
-            current = _scale_rows_cols(current, inverse_balance, balance)
-            matrices.append(current)
-    bound = float(balances[-1].sum())
-    return bound, matrices, balances
-
-
-def _backward_sparse(
-    matrices: list[sp.csr_matrix],
-    balances: list[np.ndarray],
-    mask: sp.csr_matrix,
-    alpha: float,
-) -> sp.csr_matrix:
-    """Sparse reverse-mode pass; the returned gradient shares the mask's support."""
-    k = len(matrices) - 1
-    mask_coo = mask.tocoo()
-    rows, cols = mask_coo.row, mask_coo.col
-
-    x_k, y_k = _xy_vectors(matrices[k], alpha)
-    gradient_data = x_k[rows] + y_k[cols]
-
-    for j in range(k, 0, -1):
-        previous = matrices[j - 1]
-        balance = balances[j - 1]
-        x_prev, y_prev = _xy_vectors(previous, alpha)
-
         inverse_balance = _safe_divide(np.ones_like(balance), balance)
-        inverse_balance_sq = _safe_divide(np.ones_like(balance), balance**2)
+        levels.append((current, row_sums, col_sums, balance, inverse_balance))
+        if j < k:
+            current = current * inverse_balance[rows] * balance[indices]
+    return float(balance.sum()), rows, levels
 
-        # The gradient and S^{(j-1)} share the mask's support, so the products
-        # in Eq. (7) reduce to element-wise products of the data arrays.
-        previous_data = np.asarray(previous[rows, cols]).ravel()
-        grad_times_prev = gradient_data * previous_data
+
+def _backward_flat(rows: np.ndarray, indices: np.ndarray, levels: list, alpha: float) -> np.ndarray:
+    """Reverse-mode pass of :func:`_forward_flat`: ``∇_S δ`` on the support.
+
+    Reuses the forward pass's sums and balances; the gradient and every
+    ``S^(j)`` share the support, so Eq. (7) is element-wise on the data arrays.
+    """
+    _, row_sums, col_sums, _, _ = levels[-1]
+    d = len(row_sums)
+    x_k, y_k = _xy_vectors(row_sums, col_sums, alpha)
+    gradient = x_k[rows] + y_k[indices]
+    for previous, row_sums, col_sums, balance, inverse_balance in reversed(levels[:-1]):
+        x_prev, y_prev = _xy_vectors(row_sums, col_sums, alpha)
+        inverse_balance_sq = _safe_divide(np.ones_like(balance), balance**2)
+        grad_times_prev = gradient * previous
 
         # z[i] = -Σ_q G[i,q] S[i,q] b[q] / b[i]^2 + Σ_p G[p,i] S[p,i] / b[p]
-        d = mask.shape[0]
-        z = np.zeros(d)
-        np.add.at(z, rows, -grad_times_prev * balance[cols])
+        z = np.bincount(rows, weights=-grad_times_prev * balance[indices], minlength=d)
         z *= inverse_balance_sq
-        np.add.at(z, cols, grad_times_prev * inverse_balance[rows])
+        np.add.at(z, indices, grad_times_prev * inverse_balance[rows])
 
-        gradient_data = (
-            gradient_data * inverse_balance[rows] * balance[cols]
-            + x_prev[rows] * z[rows]
-            + y_prev[cols] * z[cols]
+        gradient = (
+            gradient * inverse_balance[rows] * balance[indices]
+            + (x_prev * z)[rows]
+            + (y_prev * z)[indices]
         )
+    return gradient
 
-    return sp.csr_matrix((gradient_data, (rows, cols)), shape=mask.shape)
+
+def _sparse_bound(weights: sp.spmatrix, k: int, alpha: float, with_gradient: bool):
+    """Bound and ``∇_W δ`` (zero unless ``with_gradient``) of a sparse matrix.
+
+    Non-canonical input (unsorted or duplicate indices) is summed and sorted
+    into a copy first.  Entries whose square is zero are not in ``S = W ∘ W``;
+    they are left out of both passes and get a zero gradient.
+    """
+    weights = weights.tocsr()
+    if not weights.has_canonical_format:
+        weights = weights.copy()
+        weights.sum_duplicates()
+    data = weights.data.astype(float, copy=False)
+    s0 = data * data
+    live = s0 != 0
+    indices, indptr = weights.indices, weights.indptr
+    if not live.all():
+        s0, indices = s0[live], indices[live]
+        indptr = np.concatenate(([0], np.cumsum(live)))[indptr]
+    gradient = np.zeros_like(data)
+    bound = 0.0  # an empty S has all-zero sums, so the bound and gradient vanish
+    if s0.size:
+        bound, rows, levels = _forward_flat(s0, indices, indptr, k, alpha)
+        if with_gradient:
+            gradient[live] = _backward_flat(rows, indices, levels, alpha) * data[live] * 2.0
+    return bound, sp.csr_matrix((gradient, weights.indices, weights.indptr), shape=weights.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -281,11 +290,9 @@ class SpectralAcyclicityBound:
         """Return the bound ``δ^(k)(W)``; zero iff (numerically) acyclic."""
         weights = check_square_matrix(weights, "weights")
         if sp.issparse(weights):
-            s0 = weights.multiply(weights).tocsr()
-            bound, _, _ = _forward_sparse(s0, self.k, self.alpha)
-        else:
-            s0 = np.asarray(weights, dtype=float) ** 2
-            bound, _, _ = _forward_dense(s0, self.k, self.alpha)
+            return _sparse_bound(weights, self.k, self.alpha, with_gradient=False)[0]
+        s0 = np.asarray(weights, dtype=float) ** 2
+        bound, _, _ = _forward_dense(s0, self.k, self.alpha)
         return bound
 
     def gradient(self, weights):
@@ -296,15 +303,7 @@ class SpectralAcyclicityBound:
         """Return ``(δ^(k)(W), ∇_W δ^(k)(W))`` sharing one forward pass."""
         weights = check_square_matrix(weights, "weights")
         if sp.issparse(weights):
-            weights = weights.tocsr().copy()
-            weights.eliminate_zeros()
-            s0 = weights.multiply(weights).tocsr()
-            bound, matrices, balances = _forward_sparse(s0, self.k, self.alpha)
-            mask = weights.copy()
-            mask.data = np.ones_like(mask.data)
-            grad_s = _backward_sparse(matrices, balances, mask.tocsr(), self.alpha)
-            gradient = grad_s.multiply(weights) * 2.0
-            return bound, gradient.tocsr()
+            return _sparse_bound(weights, self.k, self.alpha, with_gradient=True)
         dense = np.asarray(weights, dtype=float)
         s0 = dense**2
         bound, matrices, balances = _forward_dense(s0, self.k, self.alpha)

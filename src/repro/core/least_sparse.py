@@ -377,7 +377,12 @@ class SparseLEAST:
         eta: float,
         rng: np.random.Generator,
     ) -> tuple[sp.csr_matrix, float, float, int]:
-        """Sparse inner loop: Adam on the support values with hard thresholding."""
+        """Sparse inner loop: Adam on the support values with hard thresholding.
+
+        The support is one canonical ``(indices, indptr)`` pair that can only
+        shrink.  The bound's gradient shares it, so the bound, loss gradient
+        and Adam state are all flat arrays aligned with ``weights.data``.
+        """
         config = self.config
         optimizer = SparseAdamOptimizer(learning_rate=config.learning_rate)
         previous_objective = np.inf
@@ -386,38 +391,33 @@ class SparseLEAST:
         weights = weights.tocsr().copy()
         weights.sum_duplicates()
         weights.eliminate_zeros()
+        d = weights.shape[0]
+        rows = np.repeat(np.arange(d), np.diff(weights.indptr))
 
         steps = 0
-        for steps in range(1, config.max_inner_iterations + 1):
-            if weights.nnz == 0:
-                break
+        while steps < config.max_inner_iterations and weights.nnz:
+            steps += 1
             batch = sample_batch(data, config.batch_size, rng)
 
             constraint, constraint_gradient = self._bound.value_and_gradient(weights)
             loss_value, loss_gradient_data = self._loss.sparse_value_and_gradient(weights, batch)
-
-            coo = weights.tocoo()
-            constraint_gradient_data = np.asarray(
-                constraint_gradient.tocsr()[coo.row, coo.col]
-            ).ravel()
             gradient_data = (
-                loss_gradient_data + (rho * constraint + eta) * constraint_gradient_data
+                loss_gradient_data + (rho * constraint + eta) * constraint_gradient.data
             )
 
             objective = loss_value + 0.5 * rho * constraint**2 + eta * constraint
 
-            new_data = optimizer.update(coo.data, gradient_data)
+            new_data = optimizer.update(weights.data, gradient_data)
 
+            keep = rows != weights.indices
             if config.threshold > 0:
-                keep = np.abs(new_data) >= config.threshold
-            else:
-                keep = np.ones_like(new_data, dtype=bool)
-            keep &= coo.row != coo.col
-            if not np.all(keep):
+                keep &= np.abs(new_data) >= config.threshold
+            indices, indptr = weights.indices, weights.indptr
+            if not keep.all():
                 optimizer.shrink_support(keep)
-            weights = sp.csr_matrix(
-                (new_data[keep], (coo.row[keep], coo.col[keep])), shape=weights.shape
-            )
+                rows, new_data, indices = rows[keep], new_data[keep], indices[keep]
+                indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=d))))
+            weights = sp.csr_matrix((new_data, indices, indptr), shape=weights.shape)
 
             if np.isfinite(previous_objective):
                 denominator = max(abs(previous_objective), 1e-12)

@@ -119,6 +119,26 @@ class TestSparseLEAST:
         result = SparseLEAST(config).fit(er2_problem["data"], seed=0)
         assert np.all(np.isfinite(result.weights.data))
 
+    def test_empty_support_runs_no_inner_iterations(self, er2_problem):
+        d = er2_problem["data"].shape[1]
+        result = SparseLEAST(FAST).fit(
+            er2_problem["data"], seed=0, initial_support=sp.csr_matrix((d, d))
+        )
+        assert result.weights.nnz == 0
+        assert result.n_inner_iterations == 0
+        np.testing.assert_array_equal(result.log.column("inner_iterations"), 0.0)
+
+    def test_inner_count_stops_when_support_empties(self, er2_problem):
+        # Every weight falls below the threshold in the first step: one
+        # iteration ran, and the emptied support stops the loop uncounted.
+        config = SparseLEASTConfig(
+            max_outer_iterations=3, max_inner_iterations=50, batch_size=None, threshold=10.0
+        )
+        result = SparseLEAST(config).fit(er2_problem["data"], seed=0)
+        assert result.weights.nnz == 0
+        assert result.n_inner_iterations == 1
+        np.testing.assert_array_equal(result.log.column("inner_iterations"), [1.0])
+
     def test_reproducible_given_seed(self, er2_problem):
         first = SparseLEAST(FAST).fit(er2_problem["data"], seed=9)
         second = SparseLEAST(FAST).fit(er2_problem["data"], seed=9)
