@@ -1,21 +1,17 @@
-"""Backend speed — the fused ``least_fast`` inner loop vs the reference.
+"""Backend speed — the dense ``LEAST`` inner loop vs its pre-buffer oracle.
 
 Regenerates ``BENCH_backend.json``: the same seeded ER-2 problems at
-d ∈ {128, 512, 2048} solved twice, once with the reference ``"least"``
-backend and once with the fused ``"least_fast"`` backend (numba-JIT when the
-package is importable, buffered numpy otherwise — the artifact records which
-via ``jit_backend``).  Both arms run under ``inner_convergence_tol = 0.0`` so
-they execute the *same number of inner iterations* and the wall-clock ratio
-is a pure per-iteration cost comparison; JIT compilation happens once in
-``warmup_jit()`` before any timing.
+d ∈ {128, 512, 2048} solved twice, once with the library's ``LEAST`` (its
+spectral bound, loss and Adam step run on reused buffers) and once with
+``OracleLEAST`` from ``tests/_dense_oracle.py``, the allocate-per-call loop
+it replaced.  Both arms run under ``inner_convergence_tol = 0.0`` so they
+execute the *same number of inner iterations* and the wall-clock ratio
+(oracle over library) is a pure per-iteration cost comparison.
 
-Parity is asserted in-run at every size: the two weight matrices must agree
-within tight tolerance (bitwise on the numpy fallback), objectives must
-match relatively, and the in-loop-thresholded edge sets must be identical.
-``benchmarks/baselines.json`` gates ``parity_ok`` and ``speedup_at_512`` —
-the latter with a ≥ 3× floor conditional on ``numba_available`` (the CI
-runners install numba; hosts without it measure the fallback) next to an
-unconditional sanity floor for the fallback.
+Parity is asserted in-run at every size: weights, run logs and iteration
+counts must be bitwise equal.  ``benchmarks/baselines.json`` gates
+``parity_ok``, the per-row edge sets and ``max_abs_diff``, and sanity floors
+on ``speedup_at_512`` and ``speedup_at_2048``.
 
 The ``sparse`` rows time LEAST-SP (``"least_sparse"``) at d ∈ {1024, 4096}
 on a per-node correlation support: the support's ``nnz``, seconds per inner
@@ -41,19 +37,21 @@ if __package__ in (None, ""):  # direct `python benchmarks/bench_backend_speed.p
     for entry in (str(_REPO_ROOT / "src"), str(_REPO_ROOT)):
         if entry not in sys.path:
             sys.path.insert(0, entry)
+if str(_REPO_ROOT / "tests") not in sys.path:  # the dense oracle lives there
+    sys.path.insert(0, str(_REPO_ROOT / "tests"))
 
 import numpy as np
 
 from benchmarks.helpers import append_bench_history, make_problem, print_table
+from _dense_oracle import OracleLEAST
 from repro.core.acyclicity import SpectralAcyclicityBound
-from repro.core.backend import make_solver
-from repro.core.least_fast import numba_available, warmup_jit
+from repro.core.least import LEAST, LEASTConfig
 from repro.core.least_sparse import SparseLEAST, SparseLEASTConfig, correlation_support
 from repro.utils.timer import Timer
 
 #: Per-size scenario: sample count and iteration budget shrink as d grows so
 #: the whole module stays in CI-friendly wall-clock territory while each arm
-#: still runs enough fused iterations for the ratio to be stable.
+#: still runs enough inner iterations for the ratio to be stable.
 SIZES = {
     128: {"samples_per_node": 10, "batch_size": None, "outer": 2, "inner": 60},
     512: {"samples_per_node": 5, "batch_size": 512, "outer": 2, "inner": 40},
@@ -89,73 +87,61 @@ N_REPEATS = 2
 OUTPUT_PATH = _REPO_ROOT / "BENCH_backend.json"
 
 
-def _solve(solver_name: str, data: np.ndarray, config: dict, seed: int):
+def _solve(solver_class, data: np.ndarray, config: LEASTConfig, seed: int):
     """One timed solve; returns (result, best-of-N seconds)."""
     repeats = N_REPEATS if data.shape[1] < 2048 else 1
     best = float("inf")
     result = None
     for _ in range(repeats):
-        backend = make_solver(solver_name, **config)
+        solver = solver_class(config)
         with Timer() as timer:
-            result = backend.fit(data, rng=seed)
+            result = solver.fit(data, seed=seed)
         best = min(best, timer.elapsed)
     return result, best
 
 
 def run_size(n_nodes: int, scenario: dict) -> dict:
-    """Reference vs fast on one seeded problem; parity asserted."""
+    """Oracle vs library on one seeded problem; bitwise parity asserted."""
     _, data = make_problem(
         "ER-2", n_nodes, "gaussian", seed=n_nodes,
         samples_per_node=scenario["samples_per_node"],
     )
-    config = dict(
-        BASE_CONFIG,
+    config = LEASTConfig(
+        **BASE_CONFIG,
         batch_size=scenario["batch_size"],
         max_outer_iterations=scenario["outer"],
         max_inner_iterations=scenario["inner"],
     )
-    ref, ref_seconds = _solve("least", data, config, seed=7)
-    fast, fast_seconds = _solve("least_fast", data, config, seed=7)
+    oracle, oracle_seconds = _solve(OracleLEAST, data, config, seed=7)
+    least, least_seconds = _solve(LEAST, data, config, seed=7)
 
-    max_abs_diff = float(np.abs(ref.weights - fast.weights).max())
-    ref_objective = float(ref.log.last("loss", 0.0))
-    fast_objective = float(fast.log.last("loss", 0.0))
-    objective_rel_diff = abs(ref_objective - fast_objective) / max(
-        abs(ref_objective), 1e-12
+    max_abs_diff = float(np.abs(oracle.weights - least.weights).max())
+    oracle_objective = float(oracle.log.last("loss", 0.0))
+    least_objective = float(least.log.last("loss", 0.0))
+    objective_rel_diff = abs(oracle_objective - least_objective) / max(
+        abs(oracle_objective), 1e-12
     )
-    edge_sets_equal = bool(
-        np.array_equal(ref.weights != 0.0, fast.weights != 0.0)
+    edge_sets_equal = bool(np.array_equal(oracle.weights != 0.0, least.weights != 0.0))
+    bitwise_equal = bool(
+        np.array_equal(oracle.weights, least.weights)
+        and list(oracle.log) == list(least.log)
+        and oracle.n_inner_iterations == least.n_inner_iterations
+        and oracle.n_outer_iterations == least.n_outer_iterations
     )
-    iterations_match = (
-        ref.n_inner_iterations == fast.n_inner_iterations
-        and ref.n_outer_iterations == fast.n_outer_iterations
-    )
-
-    # Parity, asserted every run: tight on weights (bitwise on the numpy
-    # fallback, ulp-drift headroom for the reordered numba kernels), exact on
-    # the in-loop-thresholded edge set.
-    assert iterations_match, (
-        f"d={n_nodes}: iteration counts diverged "
-        f"({ref.n_inner_iterations} vs {fast.n_inner_iterations})"
-    )
-    assert max_abs_diff < 1e-6, f"d={n_nodes}: max |dW| {max_abs_diff:g}"
-    assert objective_rel_diff < 1e-8, (
-        f"d={n_nodes}: objective drift {objective_rel_diff:g}"
-    )
-    assert edge_sets_equal, f"d={n_nodes}: thresholded edge sets differ"
+    assert bitwise_equal, f"d={n_nodes}: LEAST drifted from the oracle (max |dW| {max_abs_diff:g})"
 
     return {
         "n_nodes": n_nodes,
         "n_samples": int(data.shape[0]),
         "batch_size": scenario["batch_size"],
-        "n_inner_iterations": int(ref.n_inner_iterations),
-        "ref_seconds": ref_seconds,
-        "fast_seconds": fast_seconds,
-        "speedup": ref_seconds / max(fast_seconds, 1e-9),
+        "n_inner_iterations": int(least.n_inner_iterations),
+        "oracle_seconds": oracle_seconds,
+        "least_seconds": least_seconds,
+        "speedup": oracle_seconds / max(least_seconds, 1e-9),
         "max_abs_diff": max_abs_diff,
         "objective_rel_diff": objective_rel_diff,
         "edge_sets_equal": edge_sets_equal,
-        "jit_backend": fast.telemetry.get("jit_backend", "unknown"),
+        "bitwise_equal": bitwise_equal,
     }
 
 
@@ -217,19 +203,12 @@ def run_sparse_size(n_nodes: int, scenario: dict) -> dict:
 
 def main() -> dict:
     """Run every size, assert parity, write ``BENCH_backend.json``."""
-    jit_compiled = warmup_jit()  # one-time numba compile, outside the timings
     per_size = {f"d{n}": run_size(n, scenario) for n, scenario in SIZES.items()}
     sparse = {f"d{n}": run_sparse_size(n, scenario) for n, scenario in SPARSE_SIZES.items()}
 
-    parity_ok = all(
-        row["max_abs_diff"] < 1e-6 and row["edge_sets_equal"]
-        for row in per_size.values()
-    )
+    parity_ok = all(row["bitwise_equal"] for row in per_size.values())
     results = {
         "cpu_count": os.cpu_count(),
-        "numba_available": numba_available(),
-        "jit_compiled": jit_compiled,
-        "jit_backend": per_size["d512"]["jit_backend"],
         "solver_config": dict(BASE_CONFIG),
         "results": per_size,
         "speedup_at_128": per_size["d128"]["speedup"],
@@ -242,14 +221,14 @@ def main() -> dict:
     }
 
     print_table(
-        f"repro.core.least_fast vs least ({results['jit_backend']} kernels)",
-        ["d", "inner iters", "ref", "fast", "speedup", "max |dW|"],
+        "repro.core.least vs the pre-buffer oracle loop",
+        ["d", "inner iters", "oracle", "least", "speedup", "max |dW|"],
         [
             [
                 row["n_nodes"],
                 row["n_inner_iterations"],
-                f"{row['ref_seconds']:.3f}s",
-                f"{row['fast_seconds']:.3f}s",
+                f"{row['oracle_seconds']:.3f}s",
+                f"{row['least_seconds']:.3f}s",
                 f"{row['speedup']:.2f}x",
                 f"{row['max_abs_diff']:.2e}",
             ]

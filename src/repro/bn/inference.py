@@ -92,14 +92,14 @@ def conditional_distribution(
     sigma_qq = covariance[np.ix_(q, q)]
     sigma_qe = covariance[np.ix_(q, e)]
     sigma_ee = covariance[np.ix_(e, e)]
-    # Solve rather than invert for numerical stability; add jitter if singular.
+    # Solve rather than invert for numerical stability; add a small ridge if singular.
     try:
         solve = np.linalg.solve(sigma_ee, (observed - mean[e]))
         gain = np.linalg.solve(sigma_ee, sigma_qe.T).T
     except np.linalg.LinAlgError:
-        jitter = 1e-9 * np.eye(e.size)
-        solve = np.linalg.solve(sigma_ee + jitter, (observed - mean[e]))
-        gain = np.linalg.solve(sigma_ee + jitter, sigma_qe.T).T
+        ridge = 1e-9 * np.eye(e.size)
+        solve = np.linalg.solve(sigma_ee + ridge, (observed - mean[e]))
+        gain = np.linalg.solve(sigma_ee + ridge, sigma_qe.T).T
 
     conditional_mean = mean[q] + sigma_qe @ solve
     conditional_cov = sigma_qq - gain @ sigma_qe.T

@@ -4,7 +4,6 @@ from repro.core.acyclicity import SpectralAcyclicityBound, spectral_bound, spect
 from repro.core.backend import (
     BackendSpec,
     LEASTBackend,
-    LEASTFastBackend,
     NOTEARSBackend,
     SolveResult,
     SolverBackend,
@@ -15,7 +14,6 @@ from repro.core.backend import (
     unregister_backend,
 )
 from repro.core.least import LEAST, LEASTConfig, LEASTResult
-from repro.core.least_fast import FastLEAST, FastLEASTConfig, numba_available
 from repro.core.least_sparse import SparseLEAST, SparseLEASTConfig, correlation_support
 from repro.core.losses import LeastSquaresLoss
 from repro.core.model_selection import (
@@ -38,7 +36,6 @@ __all__ = [
     "SolveResult",
     "BackendSpec",
     "LEASTBackend",
-    "LEASTFastBackend",
     "SparseLEASTBackend",
     "NOTEARSBackend",
     "make_solver",
@@ -51,9 +48,6 @@ __all__ = [
     "LEAST",
     "LEASTConfig",
     "LEASTResult",
-    "FastLEAST",
-    "FastLEASTConfig",
-    "numba_available",
     "SparseLEAST",
     "SparseLEASTConfig",
     "correlation_support",

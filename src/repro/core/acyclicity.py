@@ -24,14 +24,17 @@ influence ``∇_W δ = 2 ∇_S δ ∘ W``, so the backward pass also stays spars
 Two code paths are provided with identical semantics: a dense numpy path
 (used by :class:`repro.core.least.LEAST`, the analog of the paper's LEAST-TF)
 and a sparse path (used by :class:`repro.core.least_sparse.SparseLEAST`, the
-analog of LEAST-SP).  Every ``S^(j)`` has the support of ``W``, so the sparse
-path builds no matrix per round: both passes run on flat ``nnz``-length arrays
-over one fixed ``(indices, indptr)`` pair, with row sums from
-``np.add.reduceat`` and column sums from ``np.bincount`` (what scipy's
-``csr.sum`` runs, so the results are bitwise those of per-round CSR
-matrices).  For canonical CSR input the gradient is built on the input's own
-``indices``/``indptr``, stored zeros included, so ``gradient.data`` lines up
-with ``weights.data`` entry for entry.
+analog of LEAST-SP).  The dense path writes its ``S^(j)`` matrices into one
+``(k+1, d, d)`` stack that a :class:`SpectralAcyclicityBound` keeps and
+reuses while ``d`` is unchanged; it returns a freshly allocated gradient,
+which the caller may modify.  Every ``S^(j)`` has the support of ``W``, so
+the sparse path builds no matrix per round: both passes run on flat
+``nnz``-length arrays over one fixed ``(indices, indptr)`` pair, with row
+sums from ``np.add.reduceat`` and column sums from ``np.bincount`` (what
+scipy's ``csr.sum`` runs, so the results are bitwise those of per-round CSR
+matrices).  For canonical CSR input the gradient is built on the input's
+own ``indices``/``indptr``, stored zeros included, so ``gradient.data``
+lines up with ``weights.data`` entry for entry.
 """
 
 from __future__ import annotations
@@ -92,33 +95,6 @@ def _safe_divide(numerator: np.ndarray, denominator: np.ndarray) -> np.ndarray:
     return out
 
 
-# ---------------------------------------------------------------------------
-# Dense forward / backward
-# ---------------------------------------------------------------------------
-
-
-def _forward_dense(s0: np.ndarray, k: int, alpha: float) -> tuple[float, list[np.ndarray], list[np.ndarray]]:
-    """Run the forward iteration on a dense non-negative matrix.
-
-    Returns the bound value, the list ``[S^(0), ..., S^(k)]`` and the list of
-    balance vectors ``[b^(0), ..., b^(k)]`` needed by the backward pass.
-    """
-    matrices = [s0]
-    balances: list[np.ndarray] = []
-    current = s0
-    for j in range(k + 1):
-        row_sums = current.sum(axis=1)
-        col_sums = current.sum(axis=0)
-        balance = _safe_power(row_sums, alpha) * _safe_power(col_sums, 1.0 - alpha)
-        balances.append(balance)
-        if j <= k - 1:
-            inverse_balance = _safe_divide(np.ones_like(balance), balance)
-            current = (inverse_balance[:, None] * current) * balance[None, :]
-            matrices.append(current)
-    bound = float(balances[-1].sum())
-    return bound, matrices, balances
-
-
 def _xy_vectors(
     row_sums: np.ndarray, col_sums: np.ndarray, alpha: float
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -136,42 +112,71 @@ def _xy_vectors(
     return x, y
 
 
-def _backward_dense(
-    matrices: list[np.ndarray],
-    balances: list[np.ndarray],
-    mask: np.ndarray,
-    alpha: float,
-) -> np.ndarray:
-    """Reverse-mode differentiation of the dense forward pass.
+# ---------------------------------------------------------------------------
+# Dense forward / backward over one reused level stack
+# ---------------------------------------------------------------------------
 
-    Implements Lemmas 3–5: the gradient is accumulated only on ``mask`` (the
-    support of W), which is exact because off-support entries are multiplied
-    by ``W = 0`` when forming ``∇_W δ``.
+
+def _dense_bound(dense: np.ndarray, k: int, alpha: float, stack: np.ndarray, with_gradient: bool):
+    """Bound and ``∇_W δ`` (None unless ``with_gradient``) of a dense matrix.
+
+    ``stack`` is a ``(k+1, d, d)`` workspace whose level ``j`` receives
+    ``S^(j)``.  The backward pass reuses the forward sums and balances, and
+    the top level, whose entries it never reads, serves as its scratch.  Every
+    product keeps the operand order of the freshly allocating formulas it
+    replaces, so the results are bitwise the same.
     """
-    k = len(matrices) - 1
-    x_k, y_k = _xy_vectors(matrices[k].sum(axis=1), matrices[k].sum(axis=0), alpha)
-    gradient = (x_k[:, None] + y_k[None, :]) * mask
-
-    for j in range(k, 0, -1):
-        previous = matrices[j - 1]
-        balance = balances[j - 1]
-        x_prev, y_prev = _xy_vectors(previous.sum(axis=1), previous.sum(axis=0), alpha)
-
-        inverse_balance = _safe_divide(np.ones_like(balance), balance)
-        inverse_balance_sq = _safe_divide(np.ones_like(balance), balance**2)
-
-        # z[i]: total effect of b^{(j-1)}[i] on the bound through S^{(j)} (Eq. 7).
-        scaled = gradient * previous * balance[None, :]
-        z = -scaled.sum(axis=1) * inverse_balance_sq
-        z += (inverse_balance[:, None] * gradient * previous).sum(axis=0)
-
-        gradient = (
-            inverse_balance[:, None] * gradient * balance[None, :]
-            + (x_prev * z)[:, None] * mask
-            + (y_prev * z)[None, :] * mask
+    d = dense.shape[0]
+    row_sums = np.empty((k + 1, d))
+    col_sums = np.empty((k + 1, d))
+    balances = np.empty((k + 1, d))
+    np.multiply(dense, dense, out=stack[0])
+    for j in range(k + 1):
+        current = stack[j]
+        current.sum(axis=1, out=row_sums[j])
+        current.sum(axis=0, out=col_sums[j])
+        np.multiply(
+            _safe_power(row_sums[j], alpha), _safe_power(col_sums[j], 1.0 - alpha), out=balances[j]
         )
-        gradient = gradient * mask
-    return gradient
+        if j < k:
+            inverse_balance = _safe_divide(np.ones(d), balances[j])
+            np.multiply(inverse_balance[:, None], current, out=stack[j + 1])
+            stack[j + 1] *= balances[j][None, :]
+    bound = float(balances[k].sum())
+    if not with_gradient:
+        return bound, None
+
+    # Lemmas 3-5: accumulate only on the support of W, which is exact because
+    # off-support entries are multiplied by W = 0 when forming ∇_W δ.
+    mask = dense != 0
+    scratch = stack[k]
+    x_k, y_k = _xy_vectors(row_sums[k], col_sums[k], alpha)
+    gradient = x_k[:, None] + y_k[None, :]
+    gradient *= mask
+    for j in range(k - 1, -1, -1):
+        previous, balance = stack[j], balances[j]
+        x_prev, y_prev = _xy_vectors(row_sums[j], col_sums[j], alpha)
+        inverse_balance = _safe_divide(np.ones(d), balance)
+        inverse_balance_sq = _safe_divide(np.ones(d), balance**2)
+
+        # z[i]: total effect of b^(j)[i] on the bound through S^(j+1) (Eq. 7).
+        np.multiply(gradient, previous, out=scratch)
+        scratch *= balance[None, :]
+        z = -scratch.sum(axis=1) * inverse_balance_sq
+        np.multiply(inverse_balance[:, None], gradient, out=scratch)
+        scratch *= previous
+        z += scratch.sum(axis=0)
+
+        gradient *= inverse_balance[:, None]
+        gradient *= balance[None, :]
+        np.multiply((x_prev * z)[:, None], mask, out=scratch)
+        gradient += scratch
+        np.multiply((y_prev * z)[None, :], mask, out=scratch)
+        gradient += scratch
+        gradient *= mask
+    gradient *= 2.0
+    gradient *= dense
+    return bound, gradient
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +185,7 @@ def _backward_dense(
 
 
 def _forward_flat(s0: np.ndarray, indices: np.ndarray, indptr: np.ndarray, k: int, alpha: float):
-    """Sparse counterpart of :func:`_forward_dense` on the data vector ``s0``.
+    """Forward pass of the bound on the data vector ``s0`` of a CSR support.
 
     Returns the bound, the row of every stored entry and, per level ``j``, the
     tuple ``(S^(j) data, row sums, column sums, b^(j), 1 / b^(j))``.
@@ -276,6 +281,9 @@ class SpectralAcyclicityBound:
     alpha:
         Balancing factor in ``[0, 1]`` between row sums and column sums
         (paper default 0.9).
+
+    Dense calls on one instance share its level stack, so an instance must
+    not be used by two threads at the same time.
     """
 
     k: int = 5
@@ -285,15 +293,21 @@ class SpectralAcyclicityBound:
         if self.k < 0:
             raise ValidationError(f"k must be >= 0, got {self.k}")
         check_unit_interval(self.alpha, "alpha")
+        # The dense passes' (k+1, d, d) level stack, reused while d is unchanged.
+        object.__setattr__(self, "_stack", np.empty((self.k + 1, 0, 0)))
+
+    def _dense(self, weights: np.ndarray, with_gradient: bool):
+        d = weights.shape[0]
+        if self._stack.shape[1:] != (d, d):
+            object.__setattr__(self, "_stack", np.empty((self.k + 1, d, d)))
+        return _dense_bound(weights, self.k, self.alpha, self._stack, with_gradient)
 
     def value(self, weights) -> float:
         """Return the bound ``δ^(k)(W)``; zero iff (numerically) acyclic."""
         weights = check_square_matrix(weights, "weights")
         if sp.issparse(weights):
             return _sparse_bound(weights, self.k, self.alpha, with_gradient=False)[0]
-        s0 = np.asarray(weights, dtype=float) ** 2
-        bound, _, _ = _forward_dense(s0, self.k, self.alpha)
-        return bound
+        return self._dense(weights, with_gradient=False)[0]
 
     def gradient(self, weights):
         """Return ``∇_W δ^(k)(W)`` with the same storage type as ``weights``."""
@@ -304,12 +318,7 @@ class SpectralAcyclicityBound:
         weights = check_square_matrix(weights, "weights")
         if sp.issparse(weights):
             return _sparse_bound(weights, self.k, self.alpha, with_gradient=True)
-        dense = np.asarray(weights, dtype=float)
-        s0 = dense**2
-        bound, matrices, balances = _forward_dense(s0, self.k, self.alpha)
-        mask = (dense != 0).astype(float)
-        grad_s = _backward_dense(matrices, balances, mask, self.alpha)
-        return bound, 2.0 * grad_s * dense
+        return self._dense(weights, with_gradient=True)
 
     def __call__(self, weights) -> float:
         return self.value(weights)

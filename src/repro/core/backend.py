@@ -38,7 +38,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.core.least import LEAST, LEASTConfig
-from repro.core.least_fast import FastLEAST, FastLEASTConfig, resolve_jit
 from repro.core.least_sparse import SparseLEAST, SparseLEASTConfig
 from repro.core.notears import NOTEARS, NOTEARSConfig
 from repro.exceptions import ValidationError
@@ -50,7 +49,6 @@ __all__ = [
     "SolverBackend",
     "BackendSpec",
     "LEASTBackend",
-    "LEASTFastBackend",
     "SparseLEASTBackend",
     "NOTEARSBackend",
     "LegacyBackend",
@@ -227,53 +225,6 @@ class LEASTBackend:
         )
 
 
-class LEASTFastBackend:
-    """Fused-inner-loop dense LEAST behind the :class:`SolverBackend` protocol.
-
-    Same math and result contract as :class:`LEASTBackend` (the parity suite
-    pins them together on seeded problems), with the inner loop running on
-    :class:`~repro.core.least_fast.FastLEAST`'s preallocated-buffer kernels —
-    numba-JIT when the package is importable, buffered numpy otherwise.  The
-    kernel set actually used is surfaced as ``telemetry["jit_backend"]``.
-    """
-
-    name = "least_fast"
-    sparse = False
-
-    def __init__(self, config: FastLEASTConfig | None = None) -> None:
-        self.config = config or FastLEASTConfig()
-
-    def fit(
-        self,
-        data,
-        *,
-        init_weights: np.ndarray | sp.spmatrix | None = None,
-        deadline_hooks: Sequence[DeadlineHook] | None = None,
-        rng: RandomState = None,
-    ) -> SolveResult:
-        """Run fused LEAST; a CSR ``init_weights`` is densified (dense d × d
-        is this backend's native representation, like ``least``)."""
-        if init_weights is not None and sp.issparse(init_weights):
-            init_weights = np.asarray(init_weights.todense(), dtype=float)
-        solver = FastLEAST(self.config)
-        result = solver.fit(
-            data,
-            seed=rng,
-            init_weights=init_weights,
-            on_outer_iteration=_compose_hooks(deadline_hooks),
-        )
-        return SolveResult(
-            solver=self.name,
-            weights=result.weights,
-            constraint_value=float(result.constraint_value),
-            converged=bool(result.converged),
-            n_outer_iterations=int(result.n_outer_iterations),
-            n_inner_iterations=int(result.n_inner_iterations),
-            log=result.log,
-            telemetry={"jit_backend": solver.jit_backend},
-        )
-
-
 class SparseLEASTBackend:
     """LEAST-SP (CSR end to end) behind the :class:`SolverBackend` protocol."""
 
@@ -447,11 +398,6 @@ class BackendSpec:
 _BACKENDS: dict[str, BackendSpec] = {
     "least": BackendSpec(
         name="least", backend_class=LEASTBackend, config_class=LEASTConfig
-    ),
-    "least_fast": BackendSpec(
-        name="least_fast",
-        backend_class=LEASTFastBackend,
-        config_class=FastLEASTConfig,
     ),
     "least_sparse": BackendSpec(
         name="least_sparse",

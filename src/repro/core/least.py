@@ -353,8 +353,12 @@ class LEAST:
 
     @staticmethod
     def _prepare_init(init_weights: np.ndarray, d: int) -> np.ndarray:
-        """Validate and normalize an explicit warm-start matrix."""
-        weights = np.array(init_weights, dtype=float, copy=True)
+        """Validate and normalize an explicit warm-start matrix.
+
+        The copy is C-ordered: reductions sum in memory order, so a fit must
+        not depend on the layout the caller's matrix happens to have.
+        """
+        weights = np.array(init_weights, dtype=float, copy=True, order="C")
         if weights.shape != (d, d):
             raise ValidationError(
                 f"init_weights must have shape ({d}, {d}), got {weights.shape}"
@@ -381,12 +385,16 @@ class LEAST:
         eta: float,
         rng: np.random.Generator,
     ) -> tuple[np.ndarray, float, float, int]:
-        """Inner procedure of Fig. 3: Adam on ℓ(W) with batching + thresholding."""
+        """Inner procedure of Fig. 3: Adam on ℓ(W) with batching + thresholding.
+
+        Each iteration calls ``sample_batch``, the bound's and the loss's
+        ``value_and_gradient`` and ``optimizer.update`` exactly once: per-layer
+        timers wrap these public calls, so the loop must not bypass them.
+        """
         config = self.config
         optimizer = AdamOptimizer(learning_rate=config.learning_rate)
         previous_objective = np.inf
         objective = np.inf
-        constraint = self._bound.value(weights)
 
         # Reused across iterations: |W| scratch and the threshold mask.  The
         # gradient combine below also mutates the per-iteration gradient

@@ -80,12 +80,17 @@ class LeastSquaresLoss:
         data = ensure_2d(data, "data")
         self._check_shapes(weights.shape[0], data)
         n_samples = max(data.shape[0], 1)
-        residual = data @ weights - data
-        smooth = float((residual**2).sum()) / n_samples
-        value = smooth + self.l1_penalty * float(np.abs(weights).sum())
+        residual = data @ weights
+        residual -= data
+        # Parsed as ((2/n) * X.T) @ R; scaling after the product rounds differently.
         gradient = (2.0 / n_samples) * data.T @ residual
-        gradient = gradient + self.l1_penalty * np.sign(weights)
+        penalty = np.sign(weights)
+        penalty *= self.l1_penalty
+        gradient += penalty
         np.fill_diagonal(gradient, 0.0)
+        residual *= residual
+        smooth = float(residual.sum()) / n_samples
+        value = smooth + self.l1_penalty * float(np.abs(weights).sum())
         return value, gradient
 
     # -- sparse ---------------------------------------------------------------

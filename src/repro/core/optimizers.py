@@ -60,7 +60,13 @@ class AdamOptimizer:
         self._second_moment = None
 
     def update(self, parameters: np.ndarray, gradient: np.ndarray) -> np.ndarray:
-        """Return the updated parameters for one Adam step (out of place)."""
+        """Return the updated parameters for one Adam step.
+
+        The parameters are not modified.  The moment estimates are updated in
+        place, each product and sum in the operand order of the formulas
+        (``m ← β₁·m + (1-β₁)·g``), so a step allocates two scratch arrays and
+        the result, and rounds exactly as the out-of-place expressions do.
+        """
         parameters = np.asarray(parameters, dtype=float)
         gradient = np.asarray(gradient, dtype=float)
         if parameters.shape != gradient.shape:
@@ -72,13 +78,21 @@ class AdamOptimizer:
             self._second_moment = np.zeros_like(parameters)
             self._step = 0
         self._step += 1
-        self._first_moment = self.beta1 * self._first_moment + (1 - self.beta1) * gradient
-        self._second_moment = self.beta2 * self._second_moment + (1 - self.beta2) * gradient**2
-        corrected_first = self._first_moment / (1 - self.beta1**self._step)
-        corrected_second = self._second_moment / (1 - self.beta2**self._step)
-        return parameters - self.learning_rate * corrected_first / (
-            np.sqrt(corrected_second) + self.epsilon
-        )
+        first, second = self._first_moment, self._second_moment
+        first *= self.beta1
+        scratch = np.multiply(1 - self.beta1, gradient)
+        first += scratch
+        second *= self.beta2
+        np.multiply(gradient, gradient, out=scratch)
+        scratch *= 1 - self.beta2
+        second += scratch
+        denominator = np.divide(second, 1 - self.beta2**self._step)
+        np.sqrt(denominator, out=denominator)
+        denominator += self.epsilon
+        step = np.divide(first, 1 - self.beta1**self._step, out=scratch)
+        step *= self.learning_rate
+        step /= denominator
+        return parameters - step
 
 
 @dataclass

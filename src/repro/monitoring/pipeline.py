@@ -97,11 +97,6 @@ class MonitoringPipeline:
     solver:
         Registered backend name driving the per-window solves (forwarded to
         the scheduler; default dense ``"least"``).
-    prefer_fast:
-        When True, windows that would solve with the default dense
-        ``"least"`` use the fused ``"least_fast"`` backend instead
-        (forwarded to the scheduler; numerically interchangeable, JIT-ed
-        when numba is importable).  The sparse escalation below still wins.
     sparse_vocabulary_threshold:
         When set, a window whose encoded vocabulary reaches this many nodes
         escalates from dense LEAST to CSR-end-to-end LEAST-SP (forwarded to
@@ -131,7 +126,6 @@ class MonitoringPipeline:
         shard_vocabulary_threshold: int | None = None,
         shard_n_workers: int = 1,
         solver: str = "least",
-        prefer_fast: bool = False,
         sparse_vocabulary_threshold: int | None = None,
         tracer=None,
     ):
@@ -158,7 +152,6 @@ class MonitoringPipeline:
             shard_n_workers=shard_n_workers,
             shard_edge_threshold=edge_threshold,
             solver=solver,
-            prefer_fast=prefer_fast,
             sparse_vocabulary_threshold=sparse_vocabulary_threshold,
             tracer=tracer,
         )

@@ -127,14 +127,6 @@ class RelearnScheduler:
         Any name in :func:`repro.serve.job.solver_names` works; warm starts
         are converted to the backend's native representation (CSR for sparse
         backends) before seeding.
-    prefer_fast:
-        When True (and ``solver`` is the default dense ``"least"``), windows
-        that solve dense use the fused ``"least_fast"`` backend instead —
-        numerically interchangeable with ``"least"`` (the parity suite pins
-        the two together) but JIT-compiled when numba is importable.  The
-        sparse auto-escalation still wins above
-        ``sparse_vocabulary_threshold``; both backends are dense, so warm
-        starts carry across unchanged and ``least_config`` drives both.
     sparse_config:
         Configuration of the ``"least_sparse"`` backend, used whenever a
         window solves sparse — because ``solver="least_sparse"`` was chosen
@@ -235,7 +227,6 @@ class RelearnScheduler:
         shard_n_workers: int = 1,
         shard_edge_threshold: float = 0.05,
         solver: str = "least",
-        prefer_fast: bool = False,
         sparse_config: SparseLEASTConfig | None = None,
         sparse_vocabulary_threshold: int | None = None,
         tracer=None,
@@ -262,9 +253,6 @@ class RelearnScheduler:
             )
         get_spec(solver)  # validate against the live registry up front
         self.solver = solver
-        self.prefer_fast = bool(prefer_fast)
-        if self.prefer_fast:
-            get_spec("least_fast")  # fail fast if the fused backend is gone
         self.sparse_config = sparse_config
         self.sparse_vocabulary_threshold = sparse_vocabulary_threshold
         self.least_config = least_config or LEASTConfig()
@@ -474,25 +462,20 @@ class RelearnScheduler:
     # -- solver selection --------------------------------------------------------
 
     def _effective_solver(self, n_nodes: int) -> str:
-        """The backend name for a window, after dense → sparse escalation
-        and the ``prefer_fast`` dense substitution."""
+        """The backend name for a window, after dense → sparse escalation."""
         if (
             self.sparse_vocabulary_threshold is not None
             and self.solver == "least"
             and n_nodes >= self.sparse_vocabulary_threshold
         ):
             return "least_sparse"
-        if self.prefer_fast and self.solver == "least":
-            return "least_fast"
         return self.solver
 
     def _config_for(self, solver_name: str):
         """The configured dataclass driving ``solver_name`` windows."""
         if solver_name == "least_sparse":
             return self.sparse_config or SparseLEASTConfig()
-        if solver_name in ("least", "least_fast"):
-            # Both dense backends share least_config; the fast backend
-            # upgrades a plain LEASTConfig to FastLEASTConfig itself.
+        if solver_name == "least":
             return self.least_config
         try:
             return get_spec(solver_name).config_class()

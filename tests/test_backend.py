@@ -24,7 +24,7 @@ from repro.core.backend import (
     unregister_backend,
 )
 from repro.core.least import LEASTConfig
-from repro.exceptions import ValidationError
+from repro.exceptions import SoftDeadlineExceeded, ValidationError
 from repro.serve.job import register_solver, unregister_solver
 
 FAST = {"max_outer_iterations": 2, "max_inner_iterations": 25}
@@ -93,6 +93,17 @@ class TestProtocolAndFactory:
 
         with pytest.raises(Abort):
             make_solver("least", **FAST).fit(data, rng=0, deadline_hooks=[bomb])
+
+    def test_soft_deadline_raises_at_first_outer_boundary(self, data):
+        seen: list[int] = []
+
+        def hook():
+            seen.append(1)
+            raise SoftDeadlineExceeded("budget spent")
+
+        with pytest.raises(SoftDeadlineExceeded):
+            make_solver("least", **FAST).fit(data, rng=0, deadline_hooks=[hook])
+        assert len(seen) == 1  # aborted at the first boundary, not later
 
     def test_notears_rejects_init_weights(self, data):
         with pytest.raises(ValidationError):
@@ -228,3 +239,37 @@ class TestJobIntegration:
         )
         assert result.status == "ok"
         assert sp.issparse(result.weights)
+
+    def test_execute_job_runs_dense_backend(self, data):
+        from repro.serve.job import LearningJob, execute_job
+
+        result = execute_job(LearningJob(solver="least", data=data, config=dict(FAST)))
+        assert result.status == "ok"
+        assert result.weights.shape == (6, 6)
+
+    def test_soft_deadline_preempts_dense_job(self, data):
+        from repro.serve.job import LearningJob, execute_job
+
+        def hook():
+            raise SoftDeadlineExceeded("budget spent")
+
+        job = LearningJob(solver="least", data=data, config=dict(FAST))
+        with pytest.raises(SoftDeadlineExceeded):
+            execute_job(job, deadline_hooks=[hook])
+
+    def test_wave_job_marks_members_preempted(self, data):
+        from repro.serve.job import LearningJob, execute_job
+
+        def hook():
+            raise SoftDeadlineExceeded("budget spent")
+
+        wave = [
+            {"job_id": "a", "n_columns": data.shape[1], "seed": 0},
+            {"job_id": "b", "n_columns": data.shape[1], "seed": 0},
+        ]
+        job = LearningJob(
+            solver="least", data=np.hstack([data, data]), config=dict(FAST), wave=wave
+        )
+        result = execute_job(job, deadline_hooks=[hook])
+        assert result.status == "preempted"
+        assert [part.status for part in result.parts] == ["preempted", "preempted"]

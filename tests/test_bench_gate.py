@@ -80,57 +80,6 @@ class TestCheckBenchFile:
         failures, _ = bench_gate.check_bench_file(path, {"metrics": {}})
         assert failures and "not valid JSON" in failures[0]
 
-    def test_conditional_rule_skipped_when_guard_falsy(self, tmp_path):
-        path = tmp_path / "BENCH_x.json"
-        path.write_text(json.dumps({"numba_available": False, "speedup": 1.2}))
-        spec = {"metrics": {"speedup": {"min": 3.0, "when": "numba_available"}}}
-        failures, n = bench_gate.check_bench_file(path, spec)
-        assert failures == [] and n == 1
-
-    def test_conditional_rule_enforced_when_guard_truthy(self, tmp_path):
-        path = tmp_path / "BENCH_x.json"
-        path.write_text(json.dumps({"numba_available": True, "speedup": 1.2}))
-        spec = {"metrics": {"speedup": {"min": 3.0, "when": "numba_available"}}}
-        failures, _ = bench_gate.check_bench_file(path, spec)
-        assert len(failures) == 1 and "below min 3" in failures[0]
-
-    def test_conditional_rule_skipped_when_guard_missing(self, tmp_path):
-        # An absent guard path counts as falsy: the strict rule stays off.
-        path = tmp_path / "BENCH_x.json"
-        path.write_text(json.dumps({"speedup": 1.2}))
-        spec = {"metrics": {"speedup": {"min": 3.0, "when": "numba_available"}}}
-        failures, _ = bench_gate.check_bench_file(path, spec)
-        assert failures == []
-
-    def test_rule_list_checks_every_applicable_rule(self, tmp_path):
-        path = tmp_path / "BENCH_x.json"
-        path.write_text(json.dumps({"numba_available": False, "speedup": 0.5}))
-        spec = {
-            "metrics": {
-                "speedup": [
-                    {"min": 3.0, "when": "numba_available"},
-                    {"min": 0.8},
-                ]
-            }
-        }
-        failures, n = bench_gate.check_bench_file(path, spec)
-        assert n == 1
-        assert len(failures) == 1 and "below min 0.8" in failures[0]
-
-    def test_rule_list_can_fail_multiple_rules(self, tmp_path):
-        path = tmp_path / "BENCH_x.json"
-        path.write_text(json.dumps({"numba_available": True, "speedup": 0.5}))
-        spec = {
-            "metrics": {
-                "speedup": [
-                    {"min": 3.0, "when": "numba_available"},
-                    {"min": 0.8},
-                ]
-            }
-        }
-        failures, _ = bench_gate.check_bench_file(path, spec)
-        assert len(failures) == 2
-
     def test_non_object_rule_is_failure(self, tmp_path):
         path = tmp_path / "BENCH_x.json"
         path.write_text(json.dumps({"speedup": 1.0}))

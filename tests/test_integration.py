@@ -144,8 +144,8 @@ class TestMonitoringWorkflow:
         assert sp.issparse(pipeline.scheduler.state.weights)
         assert stats[1].warm_started  # CSR state seeded the next CSR window
 
-    def test_pipeline_runs_windows_on_the_fast_backend(self):
-        """MonitoringPipeline forwards prefer_fast to the scheduler."""
+    def test_pipeline_runs_windows_on_the_dense_backend(self):
+        """By default every window solves with dense ``"least"``, warm-started."""
         simulator = BookingSimulator(seed=34)
         pipeline = MonitoringPipeline(
             simulator,
@@ -156,13 +156,12 @@ class TestMonitoringWorkflow:
                 l1_penalty=0.02,
                 tolerance=1e-3,
             ),
-            prefer_fast=True,
         )
         reports = pipeline.run(3, seed=35)
         assert len(reports) == 3
         stats = pipeline.window_stats
-        assert stats and all(s.solver == "least_fast" for s in stats)
-        assert stats[1].warm_started  # dense state flows between fast windows
+        assert stats and all(s.solver == "least" for s in stats)
+        assert stats[1].warm_started  # dense state flows between windows
 
 
 class TestRecommendationWorkflow:

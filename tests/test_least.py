@@ -175,3 +175,44 @@ class TestLEASTFit:
         )
         result = LEAST(config).fit(er2_problem["data"], seed=0)
         assert result.n_outer_iterations == 2
+
+
+class TestTracedCallSites:
+    """The inner loop calls the public functions a per-layer timer wraps.
+
+    perfbench's collector times the bound, the loss gradient, the Adam step
+    and batch sampling by wrapping exactly these callables; if the loop
+    stopped calling one of them, its layer would silently read zero.
+    """
+
+    def test_each_phase_called_once_per_inner_iteration(self, er2_problem, monkeypatch):
+        import repro.core.least as least_module
+        from repro.core.acyclicity import SpectralAcyclicityBound
+        from repro.core.losses import LeastSquaresLoss
+        from repro.core.optimizers import AdamOptimizer
+
+        counts: dict[str, int] = {}
+
+        def count(key, owner, attr):
+            original = getattr(owner, attr)
+
+            def wrapper(*args, **kwargs):
+                counts[key] = counts.get(key, 0) + 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, attr, wrapper)
+
+        count("bound", SpectralAcyclicityBound, "value_and_gradient")
+        count("bound_value", SpectralAcyclicityBound, "value")
+        count("loss", LeastSquaresLoss, "value_and_gradient")
+        count("adam", AdamOptimizer, "update")
+        count("batch", least_module, "sample_batch")
+
+        config = LEASTConfig(max_outer_iterations=3, max_inner_iterations=40, batch_size=50)
+        result = LEAST(config).fit(er2_problem["data"], seed=0)
+        inner = result.n_inner_iterations
+        assert inner > 0
+        for key in ("bound", "loss", "adam", "batch"):
+            assert counts[key] == inner, key
+        # One plain bound evaluation per outer iteration, after its loop.
+        assert counts["bound_value"] == result.n_outer_iterations

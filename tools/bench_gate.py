@@ -21,7 +21,7 @@ dotted paths into its JSON::
       }
     }
 
-Three rule shapes:
+Three rule shapes; each metric maps to exactly one rule object:
 
 ``{"max": v}`` / ``{"min": v}``
     Hard bound — the metric may never exceed / fall below ``v``.
@@ -30,16 +30,6 @@ Three rule shapes:
     which way is *better*: ``"lower"`` (e.g. seconds) fails when the metric
     grows past ``v * (1 + p/100)``; ``"higher"`` (e.g. speedup, F1) fails
     when it drops below ``v * (1 - p/100)``.
-
-Any rule may additionally carry ``"when": "<dotted-path>"``: the rule is
-enforced only when that path resolves to a truthy value *in the same
-artifact*, and silently skipped otherwise.  A metric may also map to a *list*
-of rules, each checked (and each honouring its own ``when``) — e.g. a strict
-speedup floor gated on ``numba_available`` next to an unconditional sanity
-floor::
-
-    "speedup_at_512": [{"min": 3.0, "when": "numba_available"},
-                       {"min": 0.8}]
 
 A missing benchmark file, a missing metric path, or a non-numeric value is a
 failure too — schema drift must not silently disable the gate.  Exit status:
@@ -121,18 +111,12 @@ def check_bench_file(path: Path, spec: dict) -> tuple[list[str], int]:
         if value is None:
             failures.append(f"{path.name}:{dotted}: metric missing from artifact")
             continue
-        rules = rule if isinstance(rule, list) else [rule]
-        for one_rule in rules:
-            if not isinstance(one_rule, dict):
-                failures.append(
-                    f"{path.name}:{dotted}: rule {one_rule!r} is not an object"
-                )
-                continue
-            if "when" in one_rule and not resolve_path(payload, one_rule["when"]):
-                continue  # conditional rule: its guard is falsy in this run
-            message = check_metric(dotted, value, one_rule)
-            if message is not None:
-                failures.append(f"{path.name}:{message}")
+        if not isinstance(rule, dict):
+            failures.append(f"{path.name}:{dotted}: rule {rule!r} is not an object")
+            continue
+        message = check_metric(dotted, value, rule)
+        if message is not None:
+            failures.append(f"{path.name}:{message}")
     return failures, len(metrics)
 
 
