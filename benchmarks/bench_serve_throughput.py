@@ -44,7 +44,7 @@ from repro.core.least import LEASTConfig
 from repro.monitoring import BookingSimulator, Incident, MonitoringPipeline
 from repro.obs import NDJSONFileSink, TraceModel, Tracer, validate_trace, wall_clock_section
 from repro.obs.sampler import is_supported as sampling_supported
-from repro.serve import BatchRunner, InMemoryCache, LearningJob, StreamingRunner
+from repro.serve import InMemoryCache, LearningJob, StreamingRunner
 from repro.serve.job import register_solver, unregister_solver
 from repro.shard.executor import ShardExecutor
 from repro.shard.planner import ShardPlanner
@@ -115,7 +115,7 @@ def test_pool_amortizes_worker_startup(benchmark, monkeypatch):
     process-management effect, so it shows up even on a single-core box
     (where parallel-vs-serial speedups cannot)."""
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)  # keep this test active under --benchmark-only
-    serial = BatchRunner(n_workers=1).run(_manifest())
+    serial = StreamingRunner(n_workers=1).run(_manifest())
     assert serial.n_ok == N_JOBS
 
     # spawn makes the per-worker boot cost explicit and identical for both
@@ -179,8 +179,8 @@ def test_pool_amortizes_worker_startup(benchmark, monkeypatch):
 def test_cache_hits_skip_solver_execution(benchmark):
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)  # keep this test active under --benchmark-only
     cache = InMemoryCache()
-    first = BatchRunner(cache=cache).run(_manifest())
-    second = BatchRunner(cache=cache).run(_manifest())
+    first = StreamingRunner(cache=cache).run(_manifest())
+    second = StreamingRunner(cache=cache).run(_manifest())
     assert first.n_cache_hits == 0
     assert second.n_cache_hits == N_JOBS
     # A fully cached manifest does no solver work at all.

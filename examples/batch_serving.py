@@ -4,15 +4,15 @@ This example mirrors the paper's production deployment (Section VI) in
 miniature, showing the three pillars of the serving layer:
 
 1. **Batch fan-out** — a manifest of declarative ``LearningJob`` specs is
-   executed by a ``BatchRunner``, serially or across worker processes;
+   executed by a ``StreamingRunner``, serially or across worker processes;
 2. **Content-addressed caching** — re-submitting the same jobs is near-free
    because results are keyed by (data fingerprint, config hash, seed);
 3. **Warm-started re-learning** — a ``RelearnScheduler`` re-learns a drifting
    scenario window by window, starting each solve from the previous solution
    and spending measurably fewer solver iterations than cold starts;
-4. **Streaming** — the same manifest consumed through a ``StreamingRunner``,
-   which yields each result the moment its job finishes (with hard per-job
-   deadlines available via ``timeout=``).
+4. **Streaming** — the same manifest consumed through
+   ``StreamingRunner.stream``, which yields each result the moment its job
+   finishes (with hard per-job deadlines available via ``timeout=``).
 
 Run with ``python examples/batch_serving.py``.
 """
@@ -22,13 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.least import LEASTConfig
-from repro.serve import (
-    BatchRunner,
-    InMemoryCache,
-    LearningJob,
-    RelearnScheduler,
-    StreamingRunner,
-)
+from repro.serve import InMemoryCache, LearningJob, RelearnScheduler, StreamingRunner
 
 
 def main(
@@ -51,7 +45,7 @@ def main(
         for seed in range(n_jobs)
     ]
     cache = InMemoryCache()
-    runner = BatchRunner(n_workers=n_workers, cache=cache)
+    runner = StreamingRunner(n_workers=n_workers, cache=cache)
     report = runner.run(jobs)
     print(
         f"batch of {report.n_jobs} jobs: {report.n_ok} ok in "
@@ -60,7 +54,7 @@ def main(
     )
 
     # 2. Re-submitting the same manifest hits the cache for every job.
-    rerun = BatchRunner(n_workers=1, cache=cache).run(
+    rerun = StreamingRunner(n_workers=1, cache=cache).run(
         [
             LearningJob(
                 dataset="er2",

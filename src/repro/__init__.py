@@ -20,9 +20,9 @@ The package is organised in layers:
   Section VI-C;
 * :mod:`repro.serve` — the batch serving layer (Section VI's ~100k-tasks/day
   deployment in miniature): declarative :class:`~repro.serve.LearningJob`
-  specs, a parallel :class:`~repro.serve.BatchRunner` with retry/timeout,
-  content-addressed result caching, and warm-started windowed re-learning via
-  :class:`~repro.serve.RelearnScheduler` (also exposed as the
+  specs, the streaming :class:`~repro.serve.StreamingRunner` with
+  retry/timeout, content-addressed result caching, and warm-started windowed
+  re-learning via :class:`~repro.serve.RelearnScheduler` (also exposed as the
   ``python -m repro.serve`` CLI);
 * :mod:`repro.shard` — block-partitioned solving of one huge problem on top
   of the serving engine: correlation-skeleton planning
@@ -45,10 +45,10 @@ Quickstart
 
 Batch serving
 -------------
->>> from repro import BatchRunner, LearningJob
+>>> from repro import LearningJob, StreamingRunner
 >>> jobs = [LearningJob(dataset="er2", seed=s, dataset_options={"n_nodes": 20})
 ...         for s in range(4)]
->>> report = BatchRunner(n_workers=2).run(jobs)
+>>> report = StreamingRunner(n_workers=2).run(jobs)
 """
 
 from repro.core import (
@@ -76,12 +76,12 @@ from repro.metrics import auc_roc, evaluate_structure, pearson_correlation
 from repro.sem import simulate_linear_sem
 from repro.serve import (
     BatchReport,
-    BatchRunner,
     DiskCache,
     InMemoryCache,
     JobResult,
     LearningJob,
     RelearnScheduler,
+    StreamingRunner,
 )
 from repro.shard import ShardExecutor, ShardPlanner, Stitcher, solve_sharded
 
@@ -113,7 +113,7 @@ __all__ = [
     "pearson_correlation",
     "LearningJob",
     "JobResult",
-    "BatchRunner",
+    "StreamingRunner",
     "BatchReport",
     "InMemoryCache",
     "DiskCache",

@@ -12,6 +12,9 @@ Per-window learning is delegated to a
 solve is warm-started from the previous window's solution (re-aligned to the
 window's vocabulary), which is how the production loop keeps re-learning cheap.
 Pass ``warm_start=False`` to recover the old cold-start-every-window behavior.
+The scheduler runs each window as one job on the serving engine
+(:class:`~repro.serve.streaming.StreamingRunner`), the same engine the CLI
+and the daemon use.
 """
 
 from __future__ import annotations
@@ -78,10 +81,11 @@ class MonitoringPipeline:
         Shrinkage applied to carried-over weights between windows.
     window_deadline:
         Optional hard per-window solve budget in seconds, forwarded to the
-        :class:`~repro.serve.scheduler.RelearnScheduler`.  A window whose
-        solve overruns is killed (hard preemption), recorded as preempted in
-        the solver telemetry, and the loop continues with the next window —
-        one pathological window can no longer stall the monitoring service.
+        :class:`~repro.serve.scheduler.RelearnScheduler`.  Each window's job
+        then runs on a pool worker; a window whose solve overruns is killed
+        (hard preemption), recorded as preempted in the solver telemetry,
+        and the loop continues with the next window — one pathological
+        window can no longer stall the monitoring service.
     shard_vocabulary_threshold:
         When set, a window whose encoded vocabulary reaches this many nodes
         is solved block-partitioned via :mod:`repro.shard` (forwarded to the
@@ -108,7 +112,8 @@ class MonitoringPipeline:
     tracer:
         Optional :class:`~repro.obs.Tracer` forwarded to the re-learn
         scheduler — every processed window then contributes a ``window``
-        span (and warm/cold counters) to the trace.
+        span with its job's ``job`` → ``solve`` → ``outer_iter`` subtree
+        (and warm/cold counters) to the trace.
     """
 
     def __init__(

@@ -11,14 +11,13 @@ package is that serving layer in miniature:
   ``max_jobs_per_worker``, with two-tier deadlines (cooperative soft stop at
   an outer-iteration boundary, then SIGKILL + worker suicide timers);
 * :mod:`repro.serve.streaming` — :class:`StreamingRunner`: the execution
-  engine on top of the pool — results yielded as they complete, plus the
-  incremental :class:`StreamSession` submit/poll face;
+  engine on top of the pool — results yielded as they complete, or
+  collected into a :class:`BatchReport` with throughput, cache, and
+  preemption telemetry, plus the incremental :class:`StreamSession`
+  submit/poll face;
 * :mod:`repro.serve.daemon` — :class:`ServeDaemon`: spool-directory job
   intake — NDJSON submissions claimed atomically, per-tenant FIFO fairness,
   admission control, NDJSON results streamed back as jobs finish;
-* :mod:`repro.serve.runner` — :class:`BatchRunner`: the batch-shaped facade
-  over the engine, returning a :class:`BatchReport` with throughput, cache,
-  and preemption telemetry;
 * :mod:`repro.serve.cache` — content-addressed result caching (in-memory or
   on-disk) keyed by (data fingerprint, config hash, seed), so repeated jobs
   are near-free; both backends support bounded LRU operation;
@@ -31,13 +30,13 @@ package is that serving layer in miniature:
 
 Quickstart
 ----------
->>> from repro.serve import BatchRunner, InMemoryCache, LearningJob
+>>> from repro.serve import InMemoryCache, LearningJob, StreamingRunner
 >>> jobs = [
 ...     LearningJob(dataset="er2", seed=s, dataset_options={"n_nodes": 20},
 ...                 config={"max_outer_iterations": 4})
 ...     for s in range(4)
 ... ]
->>> report = BatchRunner(n_workers=2, cache=InMemoryCache()).run(jobs)
+>>> report = StreamingRunner(n_workers=2, cache=InMemoryCache()).run(jobs)
 >>> report.n_ok
 4
 """
@@ -67,15 +66,12 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 from repro.serve.daemon import ServeDaemon
 from repro.serve.pool import PoolJob, SoftDeadlineExceeded, WorkerPool
-from repro.serve.runner import BatchReport, BatchRunner
 from repro.serve.scheduler import RelearnScheduler, WindowStats
 from repro.serve.streaming import (
-    PreemptedError,
+    BatchReport,
     StreamingRunner,
     StreamSession,
     StreamTelemetry,
-    WorkerCrashError,
-    call_with_deadline,
 )
 from repro.serve.warm_start import (
     WarmStartState,
@@ -92,7 +88,6 @@ __all__ = [
     "execute_job",
     "register_solver",
     "unregister_solver",
-    "BatchRunner",
     "BatchReport",
     "StreamingRunner",
     "StreamSession",
@@ -101,9 +96,6 @@ __all__ = [
     "PoolJob",
     "SoftDeadlineExceeded",
     "ServeDaemon",
-    "PreemptedError",
-    "WorkerCrashError",
-    "call_with_deadline",
     "ResultCache",
     "InMemoryCache",
     "DiskCache",

@@ -10,7 +10,7 @@ cache keeps the solver fleet free for genuinely new work.
 Two backends are provided:
 
 * :class:`InMemoryCache` — a process-local dictionary, the default for a
-  single :class:`~repro.serve.runner.BatchRunner` session;
+  single :class:`~repro.serve.streaming.StreamingRunner` session;
 * :class:`DiskCache` — one pickle file per fingerprint under a directory, so
   results survive across processes and CLI invocations.
 

@@ -20,12 +20,12 @@ entry follows :meth:`repro.serve.job.LearningJob.from_dict`::
     }
 
 Without ``--stream`` the report (the aggregate ``summary`` block of
-:class:`~repro.serve.runner.BatchReport` plus one digest per job) is printed
-to stdout, or written to ``--output``.  With ``--stream`` stdout instead
-carries one NDJSON line per *completed* job, emitted the moment the streaming
-engine yields it (completion order, not manifest order); the full report then
-goes to ``--output`` when given.  Weight matrices are never serialized — use
-the cache or the Python API to retrieve them.
+:class:`~repro.serve.streaming.BatchReport` plus one digest per job) is
+printed to stdout, or written to ``--output``.  With ``--stream`` stdout
+instead carries one NDJSON line per *completed* job, emitted the moment the
+streaming engine yields it (completion order, not manifest order); the full
+report then goes to ``--output`` when given.  Weight matrices are never
+serialized — use the cache or the Python API to retrieve them.
 
 ``--timeout`` is a hard deadline: overrunning workers are SIGKILLed and the
 job is reported ``"preempted"`` (``--preempt-policy requeue`` grants killed

@@ -6,8 +6,8 @@ which solver to use (any name in :func:`solver_names` — ``least``,
 ``least_sparse``, ``notears``, plus anything registered since), the solver
 configuration, and the seeds.  Jobs are plain data — picklable for the process
 pool, JSON-able for CLI manifests — which is what lets the
-:class:`~repro.serve.runner.BatchRunner` fan them out, retry them, and cache
-them by content.
+:class:`~repro.serve.streaming.StreamingRunner` fan them out, retry them, and
+cache them by content.
 
 Solvers are resolved through the unified backend registry of
 :mod:`repro.core.backend`: :meth:`LearningJob.build_backend` returns a
@@ -221,11 +221,6 @@ class LearningJob:
     def build_backend(self):
         """Build the configured :class:`~repro.core.backend.SolverBackend`."""
         return make_solver(self.solver, config=self.build_config())
-
-    def build_solver(self):
-        """Instantiate the configured backend (alias of :meth:`build_backend`,
-        kept for callers of the pre-backend API)."""
-        return self.build_backend()
 
     def describe(self) -> str:
         """Short human-readable label used in logs and reports."""

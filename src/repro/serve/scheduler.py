@@ -9,8 +9,11 @@ with the re-aligned, damped previous solution via
 learning to this class instead of cold-starting a solver every 30 simulated
 minutes.
 
-Solvers are resolved through :func:`repro.core.backend.make_solver`, so any
-registered backend can drive the loop.  Two escalation knobs mirror each
+Every window is one :class:`~repro.serve.job.LearningJob` (or, sharded, one
+job per block) submitted to a :class:`~repro.serve.streaming.StreamingRunner`
+— the same engine the CLI and the daemon use — so any registered backend can
+drive the loop, and a ``window_deadline`` gets the engine's hard preemption,
+worker spans and resource sampling.  Two escalation knobs mirror each
 other: ``shard_vocabulary_threshold`` switches a big window to
 block-partitioned solving, and ``sparse_vocabulary_threshold`` switches the
 default dense LEAST to CSR-end-to-end LEAST-SP — above it no dense ``d × d``
@@ -31,13 +34,14 @@ from typing import Any, Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from repro.core.backend import SolveResult, config_overrides, get_spec, make_solver
+from repro.core.backend import SolveResult, config_overrides, get_spec
 from repro.core.least import LEASTConfig
 from repro.core.least_sparse import SparseLEASTConfig
 from repro.exceptions import ValidationError
-from repro.serve.streaming import PreemptedError, call_with_deadline
+from repro.serve.job import LearningJob
+from repro.serve.streaming import StreamingRunner
 from repro.serve.warm_start import WarmStartState, prepare_init
-from repro.utils.random import RandomState
+from repro.utils.random import RandomState, as_generator
 from repro.utils.timer import Timer
 from repro.utils.validation import check_non_negative, check_unit_interval
 
@@ -150,8 +154,6 @@ class RelearnScheduler:
         baseline in benchmarks; the paper's deployment always warm-starts).
     damping:
         Shrinkage applied to the carried-over weights (1.0 keeps them as-is).
-    init_threshold:
-        Entries below this magnitude are dropped from the carried-over init.
     min_shared_nodes:
         Fall back to a cold start when fewer nodes than this survive the
         window-to-window vocabulary change.
@@ -162,23 +164,16 @@ class RelearnScheduler:
         0.5 halves the per-window solver cost while leaving newly appearing
         dependencies (the anomalies the monitoring loop exists to catch)
         enough budget to emerge.  1.0 disables the budget cut.
-    resume_penalty:
-        When True a warm-started window also resumes the augmented-Lagrangian
-        schedule at the previous window's final quadratic penalty ρ instead of
-        ramping up from ``rho_start``.  Only enable this for re-learns of
-        *stationary* data (same underlying graph, fresh samples): it makes
-        those converge in one or two outer rounds, but on drifting data the
-        immediately-high penalty suppresses new edges before the data term can
-        grow them.  Default False.
     window_deadline:
-        Optional hard per-window solve budget in seconds.  When set, each
-        window's ``fit`` runs on a disposable worker process via
-        :func:`repro.serve.streaming.call_with_deadline` and is SIGKILLed if
-        it overruns; the window is then recorded as ``preempted`` in
-        :attr:`history`, the carried warm-start state is left untouched, and
-        :meth:`step` returns a degraded result (the window's init — or zeros —
-        with ``converged=False``) so the loop survives one runaway solve.
-        ``None`` (default) solves inline with no budget.
+        Optional hard per-window solve budget in seconds, the ``timeout`` of
+        the :class:`~repro.serve.streaming.StreamingRunner` every monolithic
+        window is submitted to.  When set, the window's job runs on a pool
+        worker and is SIGKILLed if it overruns; the window is then recorded
+        as ``preempted`` in :attr:`history`, the carried warm-start state is
+        left untouched, and :meth:`step` returns a degraded result (the
+        window's init — or zeros — with ``converged=False``) so the loop
+        survives one runaway solve.  ``None`` (default) runs the job inline
+        with no budget.
     shard_vocabulary_threshold:
         When set, a window whose vocabulary has at least this many nodes is
         solved *block-partitioned* via :mod:`repro.shard` instead of
@@ -207,9 +202,12 @@ class RelearnScheduler:
     tracer:
         Optional :class:`~repro.obs.Tracer`.  Each :meth:`step` then runs
         inside a ``window`` span (attributes: window index, solver,
-        vocabulary size, warm/cold, sharded, preempted, converged), sharded
-        windows nest their plan/block/stitch spans underneath it, and
-        warm/cold/preemption counters land in ``tracer.metrics``.
+        vocabulary size, warm/cold, sharded, preempted, converged).  A
+        monolithic window nests the engine's job span tree underneath it
+        (``job`` → ``queue_wait``/``data_materialize``/``solve`` →
+        ``outer_iter``, with ``worker_spawn``/``worker`` spans when the job
+        runs on a pool worker), a sharded window its plan/block/stitch spans,
+        and warm/cold/preemption counters land in ``tracer.metrics``.
     """
 
     def __init__(
@@ -217,10 +215,8 @@ class RelearnScheduler:
         least_config: LEASTConfig | None = None,
         warm_start: bool = True,
         damping: float = 0.9,
-        init_threshold: float = 0.0,
         min_shared_nodes: int = 1,
         warm_inner_scale: float = 0.5,
-        resume_penalty: bool = False,
         window_deadline: float | None = None,
         shard_vocabulary_threshold: int | None = None,
         shard_planner=None,
@@ -232,7 +228,6 @@ class RelearnScheduler:
         tracer=None,
     ) -> None:
         check_unit_interval(damping, "damping")
-        check_non_negative(init_threshold, "init_threshold")
         if not 0.0 < warm_inner_scale <= 1.0:
             raise ValidationError(
                 f"warm_inner_scale must be in (0, 1], got {warm_inner_scale}"
@@ -258,10 +253,8 @@ class RelearnScheduler:
         self.least_config = least_config or LEASTConfig()
         self.warm_start = warm_start
         self.damping = damping
-        self.init_threshold = init_threshold
         self.min_shared_nodes = max(int(min_shared_nodes), 1)
         self.warm_inner_scale = warm_inner_scale
-        self.resume_penalty = resume_penalty
         self.window_deadline = window_deadline
         check_non_negative(shard_edge_threshold, "shard_edge_threshold")
         self.shard_vocabulary_threshold = shard_vocabulary_threshold
@@ -269,10 +262,10 @@ class RelearnScheduler:
         self.shard_n_workers = int(shard_n_workers)
         self.shard_edge_threshold = float(shard_edge_threshold)
         self.tracer = tracer
+        self._runner = StreamingRunner(timeout=window_deadline, tracer=tracer)
         self.state: WarmStartState | None = None
         self.history: list[WindowStats] = []
         self.last_shard_result = None
-        self._previous_rho: float | None = None
 
     # -- public API ------------------------------------------------------------
 
@@ -289,7 +282,10 @@ class RelearnScheduler:
             Vocabulary of the window's ``d`` columns, used to re-align the
             previous solution across vocabulary changes.
         seed:
-            Seed/generator forwarded to the solver.
+            Seed of the window's solve.  An int (or ``None``) is the job's
+            seed as-is; a generator is reduced to one drawn int, so the
+            window reproduces for a fixed generator state whether it runs
+            inline or on a worker.
 
         Returns
         -------
@@ -298,6 +294,12 @@ class RelearnScheduler:
             the window's effective backend.  With a ``window_deadline`` set,
             a preempted window returns a degraded result (its init — or
             zeros — with ``converged=False``) instead of raising.
+
+        Raises
+        ------
+        RuntimeError
+            The window's solve failed; the message names the original
+            exception.  The carried state and :attr:`history` are untouched.
         """
         names = list(node_names)
         solver_name = self._effective_solver(len(names))
@@ -319,95 +321,51 @@ class RelearnScheduler:
                 self.state,
                 names,
                 damping=self.damping,
-                threshold=self.init_threshold,
                 min_shared=self.min_shared_nodes,
                 representation="sparse" if spec.sparse else "dense",
             )
 
         config = self._config_for(solver_name)
-        if init is not None:
-            # Guard attribute reads: custom backends may not expose the
-            # inner-iteration cap or the rho schedule at all.
-            if self.warm_inner_scale < 1.0 and hasattr(config, "max_inner_iterations"):
-                config = self._maybe_replace(
-                    config,
-                    max_inner_iterations=max(
-                        int(config.max_inner_iterations * self.warm_inner_scale), 1
-                    ),
-                )
-            if (
-                self.resume_penalty
-                and self._previous_rho is not None
-                and hasattr(config, "rho_start")
-            ):
-                config = self._maybe_replace(
-                    config,
-                    rho_start=min(
-                        self._previous_rho,
-                        getattr(config, "rho_max", self._previous_rho),
-                    ),
-                )
+        if (
+            init is not None
+            and self.warm_inner_scale < 1.0
+            # Custom backends may not declare the inner-iteration cap at all.
+            and is_dataclass(config)
+            and "max_inner_iterations" in {f.name for f in fields(config)}
+        ):
+            config = replace(
+                config,
+                max_inner_iterations=max(
+                    int(config.max_inner_iterations * self.warm_inner_scale), 1
+                ),
+            )
+        job_seed = _job_seed(seed)
+        window_index = len(self.history)
         timer = Timer()
-        preempted = False
         n_blocks = 0
         n_blocks_unsolved = 0
         with contextlib.ExitStack() as stack:
             window_span = None
             if self.tracer is not None:
                 # The window span is the ambient parent while the solve runs,
-                # so a sharded window's plan/block/stitch spans nest under it.
+                # so the job (or plan/block/stitch) spans nest under it.
                 window_span = stack.enter_context(
                     self.tracer.span(
                         "window",
-                        window_index=len(self.history),
+                        window_index=window_index,
                         solver=solver_name,
                         n_nodes=len(names),
                     )
                 )
-            if sharded:
-                with timer:
+            with timer:
+                if sharded:
                     result, preempted, n_blocks, n_blocks_unsolved = (
-                        self._step_sharded(data, names, seed, solver_name)
+                        self._step_sharded(data, names, job_seed, solver_name)
                     )
-            else:
-                backend = make_solver(solver_name, config=config)
-                fit_kwargs: dict = {}
-                solve_span = None
-                if self.tracer is not None:
-                    solve_span = stack.enter_context(
-                        self.tracer.span("solve", solver=solver_name)
+                else:
+                    result, preempted = self._step_monolithic(
+                        data, window_index, job_seed, solver_name, config, init
                     )
-                    if self.window_deadline is None:
-                        # Inline solve only: with a deadline the fit runs in a
-                        # disposable worker and the hook's spans could not
-                        # reach this process's sink.
-                        from repro.obs import OuterIterationSpans
-
-                        fit_kwargs["deadline_hooks"] = [
-                            OuterIterationSpans(self.tracer, parent=solve_span)
-                        ]
-                with timer:
-                    try:
-                        result = call_with_deadline(
-                            backend.fit,
-                            data,
-                            deadline=self.window_deadline,
-                            init_weights=init,
-                            rng=seed,
-                            **fit_kwargs,
-                        )
-                    except PreemptedError:
-                        preempted = True
-                        result = self._degraded_result(
-                            solver_name, len(names), spec.sparse, init=init
-                        )
-                if solve_span is not None:
-                    solve_span.set_attributes(
-                        n_outer_iterations=int(result.n_outer_iterations),
-                        converged=bool(result.converged),
-                    )
-                    if preempted:
-                        solve_span.status = "preempted"
             if window_span is not None:
                 window_span.set_attributes(
                     warm_started=init is not None,
@@ -427,22 +385,14 @@ class RelearnScheduler:
                 ).inc()
 
         if not preempted:
-            # A preempted window leaves the carried state and ρ untouched so
-            # the next window warm-starts from the last *completed* solve.
+            # A preempted window leaves the carried state untouched so the
+            # next window warm-starts from the last *completed* solve.
             self.state = WarmStartState(
                 weights=result.weights.copy(), node_names=names
             )
-            # A stitched window has no augmented-Lagrangian trace to resume.
-            self._previous_rho = (
-                None
-                if sharded
-                else float(
-                    result.log.last("rho", getattr(config, "rho_start", 0.0))
-                )
-            )
         self.history.append(
             WindowStats(
-                window_index=len(self.history),
+                window_index=window_index,
                 warm_started=init is not None,
                 n_nodes=len(names),
                 n_shared_nodes=shared,
@@ -487,20 +437,6 @@ class RelearnScheduler:
             ) from exc
 
     @staticmethod
-    def _maybe_replace(config, **updates):
-        """``dataclasses.replace`` restricted to fields the config declares.
-
-        Custom backends may not expose ``max_inner_iterations`` or the
-        ``rho`` schedule (callers also guard the attribute *reads* used to
-        compute ``updates``); non-dataclass configs pass through untouched.
-        """
-        if not is_dataclass(config):
-            return config
-        names = {f.name for f in fields(config)}
-        applicable = {k: v for k, v in updates.items() if k in names}
-        return replace(config, **applicable) if applicable else config
-
-    @staticmethod
     def _degraded_result(
         solver_name: str, n_nodes: int, sparse: bool, init=None
     ) -> SolveResult:
@@ -529,8 +465,52 @@ class RelearnScheduler:
             n_inner_iterations=0,
         )
 
+    def _step_monolithic(
+        self,
+        data: np.ndarray,
+        window_index: int,
+        seed: int | None,
+        solver_name: str,
+        config,
+        init,
+    ) -> tuple[SolveResult, bool]:
+        """Solve one window as a single job on the scheduler's engine.
+
+        Returns ``(result, window_preempted)``.  The engine decides where the
+        job runs: inline without a ``window_deadline``, on a pool worker that
+        is SIGKILLed at the deadline otherwise.  A preempted job becomes the
+        degraded result; a failed one raises :class:`RuntimeError`.
+        """
+        job = LearningJob(
+            solver=solver_name,
+            data=data,
+            config=config_overrides(config) if is_dataclass(config) else {},
+            seed=seed,
+            init_weights=init,
+            job_id=f"window-{window_index:03d}",
+        )
+        (outcome,) = self._runner.run([job]).results
+        if outcome.status == "preempted":
+            sparse = get_spec(solver_name).sparse
+            return (
+                self._degraded_result(solver_name, data.shape[1], sparse, init=init),
+                True,
+            )
+        if outcome.status != "ok":
+            raise RuntimeError(outcome.error)
+        result = SolveResult(
+            solver=solver_name,
+            weights=outcome.weights,
+            constraint_value=outcome.constraint_value,
+            converged=outcome.converged,
+            n_outer_iterations=outcome.n_outer_iterations,
+            n_inner_iterations=outcome.n_inner_iterations,
+            elapsed_seconds=outcome.elapsed_seconds,
+        )
+        return result, False
+
     def _step_sharded(
-        self, data: np.ndarray, names: list[str], seed: RandomState, solver_name: str
+        self, data: np.ndarray, names: list[str], seed: int | None, solver_name: str
     ) -> tuple[SolveResult, bool, int, int]:
         """Solve one window block-partitioned via :mod:`repro.shard`.
 
@@ -540,9 +520,7 @@ class RelearnScheduler:
         :attr:`last_shard_result` (and in the window's
         ``n_blocks_unsolved``).  ``window_deadline`` bounds the *window*:
         each block's hard deadline is the window budget divided by the number
-        of serial block waves.  A generator ``seed`` is reduced to one drawn
-        integer so sharded windows stay reproducible for a fixed generator
-        state.  Blocks run on the window's effective backend
+        of serial block waves.  Blocks run on the window's effective backend
         (``solver_name``); sparse blocks stitch into a CSR result.
         """
         from repro.shard.executor import ShardExecutor
@@ -576,15 +554,7 @@ class RelearnScheduler:
             edge_threshold=self.shard_edge_threshold,
             tracer=self.tracer,
         )
-        if seed is None or isinstance(seed, (int, np.integer)):
-            base_seed = None if seed is None else int(seed)
-        else:
-            # A generator seed is reduced to one drawn integer: deterministic
-            # for a fixed generator state, so sharded windows reproduce.
-            from repro.utils.random import as_generator
-
-            base_seed = int(as_generator(seed).integers(2**31))
-        shard_result = executor.run(data, plan, seed=base_seed)
+        shard_result = executor.run(data, plan, seed=seed)
         self.last_shard_result = shard_result
 
         n_unsolved = plan.n_blocks - shard_result.n_blocks_ok
@@ -609,7 +579,6 @@ class RelearnScheduler:
         self.state = None
         self.history.clear()
         self.last_shard_result = None
-        self._previous_rho = None
 
     # -- aggregate views ---------------------------------------------------------
 
@@ -648,3 +617,14 @@ class RelearnScheduler:
             "mean_inner_iterations_cold": _mean_inner(cold),
             "total_seconds": sum(s.elapsed_seconds for s in self.history),
         }
+
+
+def _job_seed(seed: RandomState) -> int | None:
+    """The int seed of a window's job: ints and ``None`` pass through.
+
+    A generator is reduced to one drawn int — deterministic for a fixed
+    generator state, and a plain value a job can carry to a worker.
+    """
+    if seed is None or isinstance(seed, (int, np.integer)):
+        return None if seed is None else int(seed)
+    return int(as_generator(seed).integers(2**31))

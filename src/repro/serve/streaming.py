@@ -1,14 +1,17 @@
 """Streaming, preemptible execution engine for the serving layer.
 
-:class:`StreamingRunner` is the execution core behind
-:class:`~repro.serve.runner.BatchRunner`: it runs every
-:class:`~repro.serve.job.LearningJob` on a persistent pre-forked worker pool
-(:class:`~repro.serve.pool.WorkerPool`) and *streams*
-:class:`~repro.serve.job.JobResult` records back the moment each job
-finishes, instead of blocking until the whole manifest is done.  That is the
-shape the paper's deployment needs — ~100k tasks per day, where downstream
-consumers (dashboards, alerting, the re-learn loop) want each scenario's graph
-as soon as it exists, and one runaway solve must never stall the fleet.
+:class:`StreamingRunner` is the one way this package runs a solve in
+isolation: the CLI, the daemon, the sharded executor and every window of the
+:class:`~repro.serve.scheduler.RelearnScheduler` submit
+:class:`~repro.serve.job.LearningJob` specs to it.  It runs them on a
+persistent pre-forked worker pool (:class:`~repro.serve.pool.WorkerPool`)
+and *streams* :class:`~repro.serve.job.JobResult` records back the moment
+each job finishes; :meth:`StreamingRunner.run` drains the stream into a
+:class:`BatchReport` for callers that want the whole batch at once.  That is
+the shape the paper's deployment needs — ~100k tasks per day, where
+downstream consumers (dashboards, alerting, the re-learn loop) want each
+scenario's graph as soon as it exists, and one runaway solve must never
+stall the fleet.
 
 Execution model
 ---------------
@@ -56,11 +59,11 @@ from __future__ import annotations
 
 import copy
 import os
-import pickle
 import shutil
 import tempfile
 import time
 from collections import deque
+from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
@@ -75,137 +78,118 @@ from repro.serve.pool import (
     SoftDeadlineExceeded,
     StreamTelemetry,
     WorkerPool,
-    _arm_suicide_timer,
     _execute_with_retry,
-    _mp_context,
-    _suicide_exit,
-    _terminate,
 )
 
 __all__ = [
-    "PreemptedError",
-    "WorkerCrashError",
+    "BatchReport",
     "SoftDeadlineExceeded",
     "StreamTelemetry",
     "StreamSession",
     "StreamingRunner",
-    "call_with_deadline",
 ]
 
 
-class PreemptedError(RuntimeError):
-    """Raised by :func:`call_with_deadline` when the worker was killed on deadline."""
+@dataclass
+class BatchReport:
+    """Results of one :meth:`StreamingRunner.run` call plus aggregate telemetry.
 
-
-class WorkerCrashError(RuntimeError):
-    """Raised when a worker process died without producing a result or error."""
-
-
-def _call_worker(conn, deadline: float | None, fn, args, kwargs) -> None:
-    """Worker entry point for :func:`call_with_deadline`."""
-    _arm_suicide_timer(deadline)
-    try:
-        value = fn(*args, **kwargs)
-        payload = ("ok", value)
-    except BaseException as exc:  # noqa: BLE001 - shipped back to the parent
-        payload = ("error", f"{type(exc).__name__}: {exc}")
-    try:
-        conn.send(payload)
-    finally:
-        conn.close()
-
-
-def call_with_deadline(
-    fn: Callable[..., Any],
-    *args: Any,
-    deadline: float | None = None,
-    **kwargs: Any,
-) -> Any:
-    """Run ``fn(*args, **kwargs)`` in a disposable worker, SIGKILLed on deadline.
-
-    This is the single-call face of the preemption machinery, used by
-    :class:`~repro.serve.scheduler.RelearnScheduler` to bound one window solve.
-    The callable, its arguments, and its return value must be picklable under
-    the active start method (under the default ``fork`` they are simply
-    inherited).
-
-    Parameters
+    Attributes
     ----------
-    fn:
-        The callable to execute.
-    deadline:
-        Seconds the call may run.  ``None`` runs ``fn`` inline with no worker
-        process and no preemption.
-
-    Returns
-    -------
-    Any
-        Whatever ``fn`` returned.
-
-    Raises
-    ------
-    PreemptedError
-        The deadline elapsed and the worker was killed.
-    WorkerCrashError
-        The worker died without reporting a result (e.g. a segfault).
-    RuntimeError
-        ``fn`` raised; the original exception type and message are preserved
-        in the error text.
+    results:
+        One :class:`~repro.serve.job.JobResult` per manifest entry, in
+        manifest order.
+    total_seconds:
+        Wall-clock duration of the whole batch.
+    n_workers:
+        Worker cap the batch ran with.
+    solver_seconds_saved:
+        Solver time skipped thanks to cache hits.
+    cache_stats:
+        Snapshot of the attached cache's counters (empty without a cache).
+    time_to_first_result:
+        Seconds until the first job result was available (``None`` for an
+        empty manifest) — the latency the streaming engine optimizes for.
+    preemption_stats:
+        Kill/requeue counters from the engine (see
+        :meth:`StreamTelemetry.preemption_summary`).
     """
-    if deadline is None:
-        return fn(*args, **kwargs)
-    if deadline <= 0:
-        raise ValidationError(f"deadline must be positive, got {deadline}")
 
-    context = _mp_context()
-    parent_conn, child_conn = context.Pipe(duplex=False)
-    process = context.Process(
-        target=_call_worker,
-        args=(child_conn, deadline, fn, args, kwargs),
-        daemon=True,
-    )
-    process.start()
-    child_conn.close()
-    deadline_at = time.monotonic() + deadline
-    try:
-        while True:
-            remaining = deadline_at - time.monotonic()
-            if parent_conn.poll(max(remaining, 0.0)):
-                try:
-                    kind, value = parent_conn.recv()
-                except (EOFError, OSError, pickle.UnpicklingError):
-                    process.join(timeout=5.0)
-                    raise WorkerCrashError(
-                        "worker died while sending its result "
-                        f"(exit code {process.exitcode})"
-                    ) from None
-                process.join(timeout=5.0)
-                if kind == "ok":
-                    return value
-                raise RuntimeError(value)
-            # Deadline elapsed with no message seen by the timed poll.  A
-            # result that landed in the race window between that poll and now
-            # is preferred over killing/condemning the worker.
-            if parent_conn.poll(0):
-                continue
-            if process.is_alive():
-                _terminate(process)
-                raise PreemptedError(
-                    f"call exceeded the {deadline:.3f}s deadline and was killed"
-                )
-            process.join(timeout=5.0)
-            if _suicide_exit(process.exitcode):
-                raise PreemptedError(
-                    f"worker killed itself at the {deadline:.3f}s deadline "
-                    f"(exit code {process.exitcode})"
-                )
-            raise WorkerCrashError(
-                f"worker died without a result (exit code {process.exitcode})"
-            )
-    finally:
-        parent_conn.close()
-        if process.is_alive():  # pragma: no cover - defensive
-            _terminate(process)
+    results: list[JobResult]
+    total_seconds: float
+    n_workers: int
+    solver_seconds_saved: float = 0.0
+    cache_stats: dict[str, float] = field(default_factory=dict)
+    time_to_first_result: float | None = None
+    preemption_stats: dict[str, float] = field(default_factory=dict)
+
+    @property
+    def n_jobs(self) -> int:
+        """Number of jobs in the batch."""
+        return len(self.results)
+
+    @property
+    def n_ok(self) -> int:
+        """Number of jobs that finished with status ``"ok"``."""
+        return sum(1 for result in self.results if result.status == "ok")
+
+    @property
+    def n_failed(self) -> int:
+        """Number of jobs that finished with status ``"failed"``."""
+        return sum(1 for result in self.results if result.status == "failed")
+
+    @property
+    def n_preempted(self) -> int:
+        """Number of jobs killed at their deadline (status ``"preempted"``)."""
+        return sum(1 for result in self.results if result.status == "preempted")
+
+    @property
+    def n_timeout(self) -> int:
+        """Deadline-blown jobs.
+
+        Retained for backward compatibility with the cooperative-timeout era;
+        hard preemption records these as ``"preempted"``, so this is an alias
+        of :attr:`n_preempted` (plus any legacy ``"timeout"`` records loaded
+        from old caches).
+        """
+        legacy = sum(1 for result in self.results if result.status == "timeout")
+        return legacy + self.n_preempted
+
+    @property
+    def n_cache_hits(self) -> int:
+        """Number of jobs served from the result cache."""
+        return sum(1 for result in self.results if result.cache_hit)
+
+    @property
+    def jobs_per_second(self) -> float:
+        """Aggregate throughput of the batch (0 for an instantaneous batch)."""
+        if self.total_seconds <= 0:
+            return 0.0
+        return self.n_jobs / self.total_seconds
+
+    @property
+    def solver_seconds(self) -> float:
+        """Sum of per-job solver time (CPU-side work actually executed)."""
+        return sum(result.elapsed_seconds for result in self.results)
+
+    def summary(self) -> dict[str, Any]:
+        """JSON-able aggregate view (the CLI report's ``summary`` block)."""
+        return {
+            "n_jobs": self.n_jobs,
+            "n_ok": self.n_ok,
+            "n_failed": self.n_failed,
+            "n_timeout": self.n_timeout,
+            "n_preempted": self.n_preempted,
+            "n_cache_hits": self.n_cache_hits,
+            "n_workers": self.n_workers,
+            "total_seconds": self.total_seconds,
+            "time_to_first_result": self.time_to_first_result,
+            "jobs_per_second": self.jobs_per_second,
+            "solver_seconds": self.solver_seconds,
+            "solver_seconds_saved": self.solver_seconds_saved,
+            "cache_stats": dict(self.cache_stats),
+            "preemption": dict(self.preemption_stats),
+        }
 
 
 # -- the streaming engine ------------------------------------------------------
@@ -322,9 +306,9 @@ class StreamSession:
 class StreamingRunner:
     """Execute jobs on a persistent worker pool, yielding results as they complete.
 
-    This is the engine underneath :class:`~repro.serve.runner.BatchRunner`;
-    use it directly when results should be consumed the moment they exist
-    (NDJSON streaming, dashboards, pipelining into downstream work).
+    :meth:`stream` yields results the moment they exist (NDJSON streaming,
+    dashboards, pipelining into downstream work); :meth:`run` collects them
+    into a :class:`BatchReport` in manifest order.
 
     Parameters
     ----------
@@ -458,8 +442,12 @@ class StreamingRunner:
         for _, result in self._stream(jobs):
             yield result
 
-    def run(self, jobs, on_result: Callable[[JobResult], None] | None = None):
-        """Drain the stream into a :class:`~repro.serve.runner.BatchReport`.
+    def run(
+        self,
+        jobs: Sequence[LearningJob],
+        on_result: Callable[[JobResult], None] | None = None,
+    ) -> BatchReport:
+        """Drain the stream into a :class:`BatchReport`.
 
         ``report.results`` is in manifest order regardless of completion
         order.  ``on_result`` (when given) is invoked once per result in
@@ -472,8 +460,6 @@ class StreamingRunner:
             Results plus aggregate throughput, cache, and preemption
             telemetry.
         """
-        from repro.serve.runner import BatchReport
-
         jobs = list(jobs)
         slots: list[JobResult | None] = [None] * len(jobs)
         for index, result in self._stream(jobs):

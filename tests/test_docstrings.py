@@ -28,7 +28,6 @@ import repro.serve.cli as serve_cli
 import repro.serve.daemon as serve_daemon
 import repro.serve.job as serve_job
 import repro.serve.pool as serve_pool
-import repro.serve.runner as serve_runner
 import repro.serve.scheduler as serve_scheduler
 import repro.serve.streaming as serve_streaming
 import repro.serve.warm_start as serve_warm_start
@@ -44,7 +43,6 @@ MODULES = [
     serve_daemon,
     serve_job,
     serve_pool,
-    serve_runner,
     serve_scheduler,
     serve_streaming,
     serve_warm_start,

@@ -19,7 +19,6 @@ from repro.core.least import LEASTConfig
 from repro.obs import InMemorySink, Tracer, validate_trace, wall_clock_breakdown
 from repro.serve.cache import InMemoryCache
 from repro.serve.job import LearningJob, register_solver, unregister_solver
-from repro.serve.runner import BatchRunner
 from repro.serve.scheduler import RelearnScheduler
 from repro.serve.streaming import StreamingRunner
 from repro.shard.executor import ShardExecutor, solve_sharded
@@ -236,35 +235,57 @@ class TestTracedWorkerPath:
 
 
 class TestTracedBatchAndScheduler:
-    def test_batch_runner_forwards_tracer(self):
+    def test_streaming_runner_run_forwards_tracer(self):
         tracer = Tracer()
-        report = BatchRunner(n_workers=1, tracer=tracer).run([_job()])
+        report = StreamingRunner(n_workers=1, tracer=tracer).run([_job()])
         assert report.n_ok == 1
         assert len(_by_name(tracer)["job"]) == 1
 
-    def test_scheduler_window_spans(self):
+    @pytest.mark.parametrize("window_deadline", [None, 30.0])
+    def test_scheduler_window_spans(self, window_deadline):
         tracer = Tracer()
         scheduler = RelearnScheduler(
-            least_config=LEASTConfig(**FAST_CONFIG), tracer=tracer
+            least_config=LEASTConfig(**FAST_CONFIG),
+            window_deadline=window_deadline,
+            tracer=tracer,
         )
         rng = np.random.default_rng(3)
         names = [f"n{i}" for i in range(5)]
         for _ in range(2):
             scheduler.step(rng.normal(size=(60, 5)), names, seed=0)
 
+        spans = tracer.sink.spans()
+        assert validate_trace(spans)["n_orphans"] == 0
         by_name = _by_name(tracer)
         assert len(by_name["window"]) == 2
         first, second = by_name["window"]
         assert first["attributes"]["window_index"] == 0
         assert first["attributes"]["warm_started"] is False
         assert second["attributes"]["warm_started"] is True
-        # Solver spans nest under their window.
+        # Each window nests window → job → solve → outer_iter, inline and on
+        # a pool worker alike.
+        by_id = {span["span_id"]: span for span in spans}
+
+        def ancestor(span, name):
+            while span.get("parent_id") is not None:
+                span = by_id[span["parent_id"]]
+                if span["name"] == name:
+                    return span
+            return None
+
         window_ids = _ids(by_name["window"])
-        assert all(s["parent_id"] in window_ids for s in by_name["solve"])
+        assert len(by_name["job"]) == 2
+        assert all(s["parent_id"] in window_ids for s in by_name["job"])
+        job_ids = _ids(by_name["job"])
+        assert len(by_name["solve"]) == 2
+        assert all(ancestor(s, "job")["span_id"] in job_ids for s in by_name["solve"])
+        outer_windows = {
+            ancestor(s, "window")["span_id"] for s in by_name["outer_iter"]
+        }
+        assert outer_windows == window_ids
         warm = tracer.metrics.counter("relearn_windows_total", mode="warm")
         cold = tracer.metrics.counter("relearn_windows_total", mode="cold")
         assert cold.value == 1.0 and warm.value == 1.0
-        assert validate_trace(tracer.sink.spans())["n_orphans"] == 0
 
 
 class TestTracedShardPath:

@@ -1,4 +1,4 @@
-"""Tests for repro.serve.job / repro.serve.runner: jobs, retry, timeout, cache."""
+"""Tests for repro.serve.job / StreamingRunner.run: jobs, retry, timeout, cache."""
 
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ from repro.serve.job import (
     register_solver,
     unregister_solver,
 )
-from repro.serve.runner import BatchRunner
+from repro.serve.streaming import StreamingRunner
 
 FAST_CONFIG = {"max_outer_iterations": 3, "max_inner_iterations": 40}
 
@@ -161,7 +161,7 @@ class TestLearningJob:
 class TestBatchRunnerSerial:
     def test_runs_all_jobs_and_assigns_ids(self):
         jobs = [_inline_job(seed=s) for s in range(3)]
-        report = BatchRunner().run(jobs)
+        report = StreamingRunner().run(jobs)
         assert report.n_jobs == 3 and report.n_ok == 3
         assert [r.job_id for r in report.results] == ["job-000", "job-001", "job-002"]
         assert report.jobs_per_second > 0
@@ -169,19 +169,19 @@ class TestBatchRunnerSerial:
     def test_failed_dataset_is_reported_not_raised(self):
         jobs = [LearningJob(dataset="er2", seed=0, dataset_options={"n_nodes": 8}),
                 LearningJob(dataset="er2", seed=0, dataset_options={"bogus_option": 1})]
-        report = BatchRunner().run(jobs)
+        report = StreamingRunner().run(jobs)
         assert report.n_ok == 1 and report.n_failed == 1
         failed = report.results[1]
         assert failed.status == "failed" and failed.error
 
     def test_invalid_config_is_reported_not_raised(self):
-        report = BatchRunner().run([_inline_job(config={"k": -2})])
+        report = StreamingRunner().run([_inline_job(config={"k": -2})])
         assert report.n_failed == 1
         assert "k" in report.results[0].error
 
     def test_serial_deadline_preempts_overrunning_jobs(self, sleepy_solver):
         job = LearningJob(solver="sleepy", data=np.zeros((4, 3)), config={"duration": 5.0})
-        report = BatchRunner(timeout=0.2).run([job])
+        report = StreamingRunner(timeout=0.2).run([job])
         assert report.n_preempted == 1 and report.n_timeout == 1
         assert report.results[0].status == "preempted"
         assert "deadline" in report.results[0].error
@@ -190,13 +190,13 @@ class TestBatchRunnerSerial:
 
     def test_solver_retry_succeeds_within_budget(self, flaky_solver):
         job = LearningJob(solver="flaky", data=np.zeros((4, 3)), config={"fail_times": 1})
-        report = BatchRunner(max_retries=1).run([job])
+        report = StreamingRunner(max_retries=1).run([job])
         assert report.n_ok == 1
         assert report.results[0].attempts == 2
 
     def test_solver_retry_exhausted_reports_failure(self, flaky_solver):
         job = LearningJob(solver="flaky", data=np.zeros((4, 3)), config={"fail_times": 5})
-        report = BatchRunner(max_retries=1).run([job])
+        report = StreamingRunner(max_retries=1).run([job])
         assert report.n_failed == 1
         assert report.results[0].attempts == 2
         assert "transient solver failure" in report.results[0].error
@@ -213,10 +213,10 @@ class TestBatchRunnerSerial:
         register_dataset("flaky-data", builder, overwrite=True)
         try:
             job = LearningJob(dataset="flaky-data", config=dict(FAST_CONFIG))
-            report = BatchRunner(max_retries=1).run([job])
+            report = StreamingRunner(max_retries=1).run([job])
             assert report.n_ok == 1
             calls["count"] = 0
-            report = BatchRunner(max_retries=0).run([job])
+            report = StreamingRunner(max_retries=0).run([job])
             assert report.n_failed == 1
             assert "transient dataset failure" in report.results[0].error
         finally:
@@ -226,8 +226,8 @@ class TestBatchRunnerSerial:
 class TestBatchRunnerParallel:
     def test_parallel_matches_serial_results(self):
         jobs = [_inline_job(seed=s) for s in range(4)]
-        serial = BatchRunner(n_workers=1).run(jobs)
-        parallel = BatchRunner(n_workers=2).run([_inline_job(seed=s) for s in range(4)])
+        serial = StreamingRunner(n_workers=1).run(jobs)
+        parallel = StreamingRunner(n_workers=2).run([_inline_job(seed=s) for s in range(4)])
         assert parallel.n_ok == 4
         for a, b in zip(serial.results, parallel.results):
             assert a.job_id == b.job_id
@@ -239,7 +239,7 @@ class TestBatchRunnerParallel:
             _inline_job(seed=1, solver="notears", config={"max_outer_iterations": 2, "max_inner_iterations": 20}),
             _inline_job(seed=2, config={"k": -1}),
         ]
-        report = BatchRunner(n_workers=2).run(jobs)
+        report = StreamingRunner(n_workers=2).run(jobs)
         assert report.n_ok == 2 and report.n_failed == 1
 
     def test_parallel_deadline_preempts_hanging_job(self, sleepy_solver):
@@ -247,7 +247,7 @@ class TestBatchRunnerParallel:
             LearningJob(solver="sleepy", data=np.zeros((4, 3)), config={"duration": 5.0}),
             _inline_job(seed=1),
         ]
-        report = BatchRunner(n_workers=2, timeout=1.0).run(jobs)
+        report = StreamingRunner(n_workers=2, timeout=1.0).run(jobs)
         statuses = {r.job_id: r.status for r in report.results}
         assert statuses["job-000"] == "preempted"
         assert statuses["job-001"] == "ok"
@@ -262,9 +262,9 @@ class TestRunnerCacheIntegration:
     def test_second_run_is_served_from_cache(self):
         cache = InMemoryCache()
         jobs = [_inline_job(seed=s) for s in range(2)]
-        first = BatchRunner(cache=cache).run(jobs)
+        first = StreamingRunner(cache=cache).run(jobs)
         assert first.n_cache_hits == 0
-        second = BatchRunner(cache=cache).run([_inline_job(seed=s) for s in range(2)])
+        second = StreamingRunner(cache=cache).run([_inline_job(seed=s) for s in range(2)])
         assert second.n_cache_hits == 2
         assert second.solver_seconds_saved > 0
         for a, b in zip(first.results, second.results):
@@ -275,10 +275,10 @@ class TestRunnerCacheIntegration:
         """After caching, the solver is not invoked at all (call count frozen)."""
         cache = InMemoryCache()
         job = LearningJob(solver="flaky", data=np.zeros((4, 3)), config={"fail_times": 0})
-        BatchRunner(cache=cache).run([job])
+        StreamingRunner(cache=cache).run([job])
         calls_after_first = _FLAKY_CALLS["count"]
         assert calls_after_first == 1
-        report = BatchRunner(cache=cache).run(
+        report = StreamingRunner(cache=cache).run(
             [LearningJob(solver="flaky", data=np.zeros((4, 3)), config={"fail_times": 0})]
         )
         assert report.n_cache_hits == 1
@@ -287,8 +287,8 @@ class TestRunnerCacheIntegration:
     def test_cache_hits_are_relabelled_with_the_requesting_job_id(self):
         """A hit served from an entry produced under another id keeps its own."""
         cache = InMemoryCache()
-        BatchRunner(cache=cache).run([_inline_job(seed=0)])  # cached as job-000
-        report = BatchRunner(cache=cache).run(
+        StreamingRunner(cache=cache).run([_inline_job(seed=0)])  # cached as job-000
+        report = StreamingRunner(cache=cache).run(
             [_inline_job(seed=1), _inline_job(seed=0)]
         )
         assert [r.job_id for r in report.results] == ["job-000", "job-001"]
@@ -296,16 +296,16 @@ class TestRunnerCacheIntegration:
 
     def test_different_seed_misses(self):
         cache = InMemoryCache()
-        BatchRunner(cache=cache).run([_inline_job(seed=0)])
-        report = BatchRunner(cache=cache).run([_inline_job(seed=1)])
+        StreamingRunner(cache=cache).run([_inline_job(seed=0)])
+        report = StreamingRunner(cache=cache).run([_inline_job(seed=1)])
         assert report.n_cache_hits == 0
 
     def test_failed_jobs_are_not_cached(self, flaky_solver):
         cache = InMemoryCache()
         job = LearningJob(solver="flaky", data=np.zeros((4, 3)), config={"fail_times": 10})
-        BatchRunner(cache=cache).run([job])
+        StreamingRunner(cache=cache).run([job])
         _FLAKY_CALLS["count"] = 0
-        report = BatchRunner(cache=cache).run(
+        report = StreamingRunner(cache=cache).run(
             [LearningJob(solver="flaky", data=np.zeros((4, 3)), config={"fail_times": 0})]
         )
         assert report.n_cache_hits == 0 and report.n_ok == 1
@@ -314,15 +314,15 @@ class TestRunnerCacheIntegration:
 class TestRunnerValidation:
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValidationError):
-            BatchRunner(n_workers=0)
+            StreamingRunner(n_workers=0)
         with pytest.raises(ValidationError):
-            BatchRunner(timeout=-1.0)
+            StreamingRunner(timeout=-1.0)
         with pytest.raises(ValidationError):
-            BatchRunner(max_retries=-1)
+            StreamingRunner(max_retries=-1)
 
     def test_report_summary_is_json_able(self):
         import json
 
-        report = BatchRunner().run([_inline_job()])
+        report = StreamingRunner().run([_inline_job()])
         payload = json.dumps(report.summary())
         assert "jobs_per_second" in payload

@@ -10,27 +10,18 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from repro.core.least import LEASTConfig
 from repro.exceptions import ValidationError
 from repro.serve.cache import DiskCache, InMemoryCache
 from repro.serve.job import LearningJob, register_solver, unregister_solver
 from repro.serve.scheduler import RelearnScheduler
-from repro.serve.streaming import (
-    PreemptedError,
-    StreamingRunner,
-    WorkerCrashError,
-    call_with_deadline,
-)
+from repro.serve.streaming import StreamingRunner
 
 # Concurrency suite: a deadlock here (a worker that never reports, a poll
 # loop that never drains) must abort with tracebacks, not hang the CI job.
 pytestmark = pytest.mark.timeout(120)
 
 FAST_CONFIG = {"max_outer_iterations": 3, "max_inner_iterations": 40}
-
-
-def _boom():
-    """Module-level (hence spawn-picklable) always-raising callable."""
-    raise ValueError("inner failure")
 
 
 def _inline_job(seed: int = 0, **overrides) -> LearningJob:
@@ -131,6 +122,28 @@ def crash_solver():
     register_solver("crash", _CrashSolver, _CrashConfig, overwrite=True)
     yield
     unregister_solver("crash")
+
+
+@dataclass(frozen=True)
+class _RaiseConfig:
+    pass
+
+
+class _RaiseSolver:
+    """A solver whose fit raises (module-level, hence spawn-picklable)."""
+
+    def __init__(self, config: _RaiseConfig):
+        self.config = config
+
+    def fit(self, data, seed=None, init_weights=None):
+        raise ValueError("inner failure")
+
+
+@pytest.fixture
+def raise_solver():
+    register_solver("raise", _RaiseSolver, _RaiseConfig, overwrite=True)
+    yield
+    unregister_solver("raise")
 
 
 class TestStreamingOrder:
@@ -367,32 +380,6 @@ class TestCacheIntegration:
         assert len(cache) == 0
 
 
-class TestCallWithDeadline:
-    def test_inline_when_no_deadline(self):
-        assert call_with_deadline(sum, [1, 2, 3]) == 6
-
-    def test_returns_value_within_deadline(self):
-        assert call_with_deadline(sum, [1, 2, 3], deadline=30.0) == 6
-
-    def test_kills_overrunning_call(self):
-        started = time.monotonic()
-        with pytest.raises(PreemptedError):
-            call_with_deadline(time.sleep, 60.0, deadline=0.3)
-        assert time.monotonic() - started < 5.0
-
-    def test_propagates_worker_exceptions(self):
-        with pytest.raises(RuntimeError, match="inner failure"):
-            call_with_deadline(_boom, deadline=30.0)
-
-    def test_crash_raises_worker_crash_error(self):
-        with pytest.raises(WorkerCrashError):
-            call_with_deadline(os._exit, 5, deadline=30.0)
-
-    def test_rejects_non_positive_deadline(self):
-        with pytest.raises(ValidationError):
-            call_with_deadline(sum, [1], deadline=0.0)
-
-
 class TestValidation:
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValidationError):
@@ -435,6 +422,43 @@ class TestSchedulerDeadline:
         # The carried warm-start state is untouched by the preempted window.
         assert slow.state is None
         assert slow.stats_summary()["n_preempted_windows"] == 1.0
+
+    @pytest.mark.parametrize("window_deadline", [None, 30.0])
+    def test_failed_window_raises_and_leaves_state_untouched(
+        self, raise_solver, window_deadline
+    ):
+        rng = np.random.default_rng(0)
+        names = [f"n{i}" for i in range(5)]
+        scheduler = RelearnScheduler(
+            least_config=LEASTConfig(**FAST_CONFIG), window_deadline=window_deadline
+        )
+        scheduler.step(rng.normal(size=(60, 5)), names, seed=1)
+        state, history = scheduler.state, list(scheduler.history)
+        scheduler.solver = "raise"
+        with pytest.raises(RuntimeError, match="ValueError: inner failure"):
+            scheduler.step(rng.normal(size=(60, 5)), names, seed=1)
+        assert scheduler.state is state
+        assert scheduler.history == history
+
+    def test_generator_seed_learns_the_same_weights_with_and_without_deadline(
+        self,
+    ):
+        data_rng = np.random.default_rng(4)
+        windows = [data_rng.normal(size=(60, 12)) for _ in range(3)]
+        names = [f"n{i}" for i in range(12)]
+        learned = {}
+        for window_deadline in (None, 30.0):
+            scheduler = RelearnScheduler(
+                least_config=LEASTConfig(**FAST_CONFIG),
+                warm_start=False,
+                window_deadline=window_deadline,
+            )
+            seed = np.random.default_rng(0)
+            learned[window_deadline] = [
+                scheduler.step(data, names, seed=seed).weights for data in windows
+            ]
+        for inline, pooled in zip(learned[None], learned[30.0]):
+            np.testing.assert_array_equal(inline, pooled)
 
 
 class TestCliStream:

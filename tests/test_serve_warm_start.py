@@ -466,7 +466,7 @@ class TestSchedulerBackendEdgeCases:
 
         register_solver("bare", _BareSolver, _BareConfig, overwrite=True)
         try:
-            scheduler = RelearnScheduler(solver="bare", resume_penalty=True)
+            scheduler = RelearnScheduler(solver="bare")
             data, names = self._window(1)
             scheduler.step(data, names, seed=0)
             result = scheduler.step(data, names, seed=0)  # used to crash
