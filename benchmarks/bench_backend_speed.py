@@ -13,6 +13,14 @@ counts must be bitwise equal.  ``benchmarks/baselines.json`` gates
 ``parity_ok``, the per-row edge sets and ``max_abs_diff``, and sanity floors
 on ``speedup_at_512`` and ``speedup_at_2048``.
 
+Each row records its ``loss_form``.  The d = 128 row is full batch with
+d ≤ 2n, so both arms take the loss from ``Σ = XᵀX/n`` (the Gram form of
+``repro.core.losses``).  That row also times ``DirectOracleLEAST``, the same
+reference loop computing the loss from the samples: ``gram_speedup`` is its
+time over ``OracleLEAST``'s, so only the loss form differs between the two.
+It checks in-run that the two forms agree per call (value and gradient to
+rel 1e-10) as ``gram_parity_ok``.  Both are gated.
+
 The ``sparse`` rows time LEAST-SP (``"least_sparse"``) at d ∈ {1024, 4096}
 on a per-node correlation support: the support's ``nnz``, seconds per inner
 iteration of a fixed-budget solve, and seconds per call of the spectral
@@ -43,9 +51,10 @@ if str(_REPO_ROOT / "tests") not in sys.path:  # the dense oracle lives there
 import numpy as np
 
 from benchmarks.helpers import append_bench_history, make_problem, print_table
-from _dense_oracle import OracleLEAST
+from _dense_oracle import DirectOracleLEAST, OracleLEAST
 from repro.core.acyclicity import SpectralAcyclicityBound
 from repro.core.least import LEAST, LEASTConfig
+from repro.core.losses import LeastSquaresLoss, full_batch_gram
 from repro.core.least_sparse import SparseLEAST, SparseLEASTConfig, correlation_support
 from repro.utils.timer import Timer
 
@@ -80,6 +89,9 @@ SPARSE_CONFIG = {
     "inner_convergence_tol": 0.0,
     "max_outer_iterations": 1,
 }
+#: Tolerance of the per-call Gram-vs-direct loss check (value and gradient,
+#: relative to the direct form's largest magnitude).
+GRAM_REL_TOL = 1e-10
 #: Calls timed per size for the per-call bound seconds (median).
 N_BOUND_CALLS = 15
 #: Timed runs per arm (best-of); the 2048 row runs once.
@@ -130,7 +142,9 @@ def run_size(n_nodes: int, scenario: dict) -> dict:
     )
     assert bitwise_equal, f"d={n_nodes}: LEAST drifted from the oracle (max |dW| {max_abs_diff:g})"
 
-    return {
+    gram = full_batch_gram(data, config.batch_size)
+    row = {
+        "loss_form": "direct" if gram is None else "gram",
         "n_nodes": n_nodes,
         "n_samples": int(data.shape[0]),
         "batch_size": scenario["batch_size"],
@@ -143,6 +157,44 @@ def run_size(n_nodes: int, scenario: dict) -> dict:
         "edge_sets_equal": edge_sets_equal,
         "bitwise_equal": bitwise_equal,
     }
+    if gram is not None:
+        _, direct_seconds = _solve(DirectOracleLEAST, data, config, seed=7)
+        gram_max_rel_diff = _gram_max_rel_diff(data, gram, config, least.weights)
+        row.update(
+            direct_oracle_seconds=direct_seconds,
+            gram_speedup=direct_seconds / max(oracle_seconds, 1e-9),
+            gram_max_rel_diff=gram_max_rel_diff,
+            gram_parity_ok=bool(gram_max_rel_diff <= GRAM_REL_TOL),
+        )
+        assert row["gram_parity_ok"], (
+            f"d={n_nodes}: Gram-form loss drifted from the direct form (rel {gram_max_rel_diff:g})"
+        )
+    return row
+
+
+def _gram_max_rel_diff(
+    data: np.ndarray, gram: np.ndarray, config: LEASTConfig, learned: np.ndarray
+) -> float:
+    """Largest relative gap between the two loss forms over a few ``W``.
+
+    ``W`` is zero, a dense random matrix and the learned weights; each gap is
+    relative to the direct form's largest magnitude (value or gradient).
+    """
+    loss = LeastSquaresLoss(l1_penalty=config.l1_penalty)
+    d = data.shape[1]
+    random = np.random.default_rng(0).normal(scale=0.3, size=(d, d))
+    np.fill_diagonal(random, 0.0)
+    worst = 0.0
+    for weights in (np.zeros((d, d)), random, learned):
+        value, gradient = loss.value_and_gradient(weights, data, gram)
+        direct_value, direct_gradient = loss.value_and_gradient(weights, data)
+        worst = max(
+            worst,
+            abs(value - direct_value) / max(abs(direct_value), 1e-300),
+            float(np.abs(gradient - direct_gradient).max())
+            / max(float(np.abs(direct_gradient).max()), 1e-300),
+        )
+    return worst
 
 
 def run_sparse_size(n_nodes: int, scenario: dict) -> dict:
@@ -207,6 +259,7 @@ def main() -> dict:
     sparse = {f"d{n}": run_sparse_size(n, scenario) for n, scenario in SPARSE_SIZES.items()}
 
     parity_ok = all(row["bitwise_equal"] for row in per_size.values())
+    gram_rows = [row for row in per_size.values() if row["loss_form"] == "gram"]
     results = {
         "cpu_count": os.cpu_count(),
         "solver_config": dict(BASE_CONFIG),
@@ -215,6 +268,8 @@ def main() -> dict:
         "speedup_at_512": per_size["d512"]["speedup"],
         "speedup_at_2048": per_size["d2048"]["speedup"],
         "parity_ok": parity_ok,
+        "gram_speedup_at_128": per_size["d128"]["gram_speedup"],
+        "gram_parity_ok": bool(gram_rows) and all(row["gram_parity_ok"] for row in gram_rows),
         "sparse_config": dict(SPARSE_CONFIG),
         "sparse": sparse,
         "sparse_parity_ok": all(row["sparse_parity_ok"] for row in sparse.values()),
@@ -222,15 +277,17 @@ def main() -> dict:
 
     print_table(
         "repro.core.least vs the pre-buffer oracle loop",
-        ["d", "inner iters", "oracle", "least", "speedup", "max |dW|"],
+        ["d", "loss", "inner iters", "oracle", "least", "speedup", "max |dW|", "gram speedup"],
         [
             [
                 row["n_nodes"],
+                row["loss_form"],
                 row["n_inner_iterations"],
                 f"{row['oracle_seconds']:.3f}s",
                 f"{row['least_seconds']:.3f}s",
                 f"{row['speedup']:.2f}x",
                 f"{row['max_abs_diff']:.2e}",
+                f"{row['gram_speedup']:.2f}x" if "gram_speedup" in row else "-",
             ]
             for row in per_size.values()
         ],

@@ -11,6 +11,18 @@ diagonal of ``W`` is always excluded (a variable may not predict itself).
 Both dense gradients (full ``d × d`` matrices) and support-restricted sparse
 gradients (only the non-zero positions of a CSR matrix) are provided; the
 latter keeps LEAST-SP's memory footprint at ``O(s + B·d)``.
+
+The dense loss has two forms.  The *direct* form works on the samples:
+``(2/n) Xᵀ(XW − X)`` costs two ``n × d × d`` products per call.  When every
+batch is the whole sample matrix, the *Gram* form works on the sufficient
+statistic ``Σ = XᵀX/n`` instead, built once per fit by
+:func:`full_batch_gram`:
+
+    ∇L = 2(ΣW − Σ) + λ sign(W),   L = tr(WᵀΣW) − 2 tr(WᵀΣ) + tr(Σ) + λ ||W||_1
+
+for one ``d × d × d`` product per call, with no ``n``.  It pays off while
+``d ≤ 2n``.  The two forms agree to rounding, not bit for bit: the Gram form
+sums the same terms in a different order.
 """
 
 from __future__ import annotations
@@ -24,7 +36,11 @@ from repro.exceptions import DimensionMismatchError, ValidationError
 from repro.utils.random import RandomState, as_generator
 from repro.utils.validation import check_non_negative, ensure_2d
 
-__all__ = ["LeastSquaresLoss", "sample_batch"]
+__all__ = ["LeastSquaresLoss", "full_batch_gram", "sample_batch"]
+
+
+def _covers_all_rows(batch_size: int | None, n_samples: int) -> bool:
+    return batch_size is None or batch_size <= 0 or batch_size >= n_samples
 
 
 def sample_batch(data: np.ndarray, batch_size: int | None, rng: np.random.Generator) -> np.ndarray:
@@ -34,10 +50,25 @@ def sample_batch(data: np.ndarray, batch_size: int | None, rng: np.random.Genera
     matching the paper's artificial-data experiments where ``B = n``.
     """
     n_samples = data.shape[0]
-    if batch_size is None or batch_size <= 0 or batch_size >= n_samples:
+    if _covers_all_rows(batch_size, n_samples):
         return data
     indices = rng.choice(n_samples, size=batch_size, replace=False)
     return data[indices]
+
+
+def full_batch_gram(data: np.ndarray, batch_size: int | None) -> np.ndarray | None:
+    """``Σ = XᵀX/n`` when the Gram form of the loss is the cheaper one, else None.
+
+    That is when :func:`sample_batch` returns ``data`` itself on every call,
+    so ``Σ`` never changes, and when ``d ≤ 2n``: the Gram form's ``d³``
+    product then costs no more than the direct form's ``2·n·d²``.
+    """
+    n_samples, n_nodes = data.shape
+    if not _covers_all_rows(batch_size, n_samples) or n_nodes > 2 * n_samples:
+        return None
+    gram = data.T @ data
+    gram /= n_samples
+    return gram
 
 
 @dataclass(frozen=True)
@@ -74,9 +105,17 @@ class LeastSquaresLoss:
         """Full gradient for a dense weight matrix (diagonal forced to zero)."""
         return self.value_and_gradient(weights, data)[1]
 
-    def value_and_gradient(self, weights: np.ndarray, data: np.ndarray) -> tuple[float, np.ndarray]:
-        """Return ``(L(W, X), ∇_W L(W, X))`` for a dense ``W``."""
+    def value_and_gradient(
+        self, weights: np.ndarray, data: np.ndarray, gram: np.ndarray | None = None
+    ) -> tuple[float, np.ndarray]:
+        """Return ``(L(W, X), ∇_W L(W, X))`` for a dense ``W``.
+
+        ``gram`` is ``XᵀX/n`` of ``data`` from :func:`full_batch_gram`.  When
+        given, the loss is computed from it alone and ``data`` is not read.
+        """
         weights = np.asarray(weights, dtype=float)
+        if gram is not None:
+            return self._gram_value_and_gradient(weights, gram)
         data = ensure_2d(data, "data")
         self._check_shapes(weights.shape[0], data)
         n_samples = max(data.shape[0], 1)
@@ -90,6 +129,28 @@ class LeastSquaresLoss:
         np.fill_diagonal(gradient, 0.0)
         residual *= residual
         smooth = float(residual.sum()) / n_samples
+        value = smooth + self.l1_penalty * float(np.abs(weights).sum())
+        return value, gradient
+
+    def _gram_value_and_gradient(
+        self, weights: np.ndarray, gram: np.ndarray
+    ) -> tuple[float, np.ndarray]:
+        if gram.shape != weights.shape:
+            raise DimensionMismatchError(
+                f"gram is {gram.shape[0]} x {gram.shape[1]} but the weight matrix is "
+                f"{weights.shape[0]} x {weights.shape[1]}"
+            )
+        product = gram @ weights
+        gradient = product - gram
+        gradient *= 2.0
+        penalty = np.sign(weights)
+        penalty *= self.l1_penalty
+        gradient += penalty
+        np.fill_diagonal(gradient, 0.0)
+        product *= weights
+        smooth = (
+            float(product.sum()) - 2.0 * float((weights * gram).sum()) + float(np.trace(gram))
+        )
         value = smooth + self.l1_penalty * float(np.abs(weights).sum())
         return value, gradient
 

@@ -43,10 +43,19 @@ __all__ = [
     "fingerprint_array",
     "fingerprint_config",
     "job_fingerprint",
+    "SOLVER_NUMERICS_VERSION",
     "ResultCache",
     "InMemoryCache",
     "DiskCache",
 ]
+
+
+#: Version of the solvers' arithmetic, folded into every job key.  A change
+#: that moves learned weights by rounding, without a config field to say so,
+#: bumps it so that a persisted :class:`DiskCache` stops serving results the
+#: current code would not compute.  Version 2: full-batch dense LEAST takes
+#: its loss from ``XᵀX/n`` (see :func:`repro.core.losses.full_batch_gram`).
+SOLVER_NUMERICS_VERSION = 2
 
 
 def _update_with_array(digest: "hashlib._Hash", array: np.ndarray) -> None:
@@ -90,11 +99,13 @@ def fingerprint_config(config: Mapping[str, Any]) -> str:
 def job_fingerprint(job: "LearningJob", data: np.ndarray) -> str:
     """Content-addressed key of a job: solver ⊕ config ⊕ seed ⊕ data ⊕ init.
 
-    Wave jobs additionally fold the member layout (ids, widths, seeds) into
-    the key — the same stacked matrix split at different boundaries is a
-    different computation.
+    The key also covers :data:`SOLVER_NUMERICS_VERSION`.  Wave jobs
+    additionally fold the member layout (ids, widths, seeds) into the key —
+    the same stacked matrix split at different boundaries is a different
+    computation.
     """
     digest = hashlib.sha256()
+    digest.update(f"numerics-v{SOLVER_NUMERICS_VERSION}".encode())
     digest.update(job.solver.encode())
     digest.update(fingerprint_config(job.config).encode())
     digest.update(repr(job.seed).encode())

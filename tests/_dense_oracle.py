@@ -9,6 +9,12 @@ before it starts.  It keeps its own copies of the numeric helpers, so a
 change to the library's cannot hide on both sides.  The parity tests and
 ``benchmarks/bench_backend_speed.py`` compare the library against it; it is
 not collected by pytest.
+
+The loss has the library's two forms, each written out naively: the direct
+form on the batch, and the Gram form on ``Σ = XᵀX/n``, which the loop uses
+when every batch is the full sample matrix and ``d ≤ 2n``.
+:class:`DirectOracleLEAST` always takes the direct form, as the library did
+before it learned the Gram form.
 """
 
 from __future__ import annotations
@@ -120,6 +126,31 @@ def loss_value_and_gradient(
     return value, gradient
 
 
+def gram_matrix(data: np.ndarray, batch_size) -> np.ndarray | None:
+    """``XᵀX/n`` when every batch is all of ``data`` and ``d ≤ 2n``, else None."""
+    n_samples, n_nodes = data.shape
+    full_batch = batch_size is None or batch_size <= 0 or batch_size >= n_samples
+    if not full_batch or n_nodes > 2 * n_samples:
+        return None
+    return (data.T @ data) / n_samples
+
+
+def gram_loss_value_and_gradient(
+    weights: np.ndarray, gram: np.ndarray, l1_penalty: float
+) -> tuple[float, np.ndarray]:
+    """The loss and its gradient from ``Σ = XᵀX/n`` instead of the samples."""
+    smooth = (
+        float((weights * (gram @ weights)).sum())
+        - 2.0 * float((weights * gram).sum())
+        + float(np.trace(gram))
+    )
+    value = smooth + l1_penalty * float(np.abs(weights).sum())
+    gradient = 2.0 * (gram @ weights - gram)
+    gradient = gradient + l1_penalty * np.sign(weights)
+    np.fill_diagonal(gradient, 0.0)
+    return value, gradient
+
+
 class OracleAdam:
     """Adam with freshly allocated moments every step (default constants)."""
 
@@ -147,10 +178,18 @@ class OracleAdam:
 
 
 class OracleLEAST(LEAST):
-    """``LEAST`` whose inner loop, bound, loss and Adam are the reference versions."""
+    """``LEAST`` whose inner loop, bound, loss and Adam are the reference versions.
 
-    def _inner(self, data, weights, rho, eta, rng):
+    The ``gram`` that ``LEAST.fit`` passes in is ignored: the loop builds
+    its own.
+    """
+
+    def _gram(self, data: np.ndarray) -> np.ndarray | None:
+        return gram_matrix(data, self.config.batch_size)
+
+    def _inner(self, data, weights, rho, eta, rng, library_gram):
         config = self.config
+        gram = self._gram(data)
         optimizer = OracleAdam(learning_rate=config.learning_rate)
         previous_objective = np.inf
         objective = np.inf
@@ -163,7 +202,10 @@ class OracleLEAST(LEAST):
         for steps in range(1, config.max_inner_iterations + 1):
             batch = sample_batch(data, config.batch_size, rng)
             constraint, constraint_gradient = bound_value_and_gradient(weights, config.k, config.alpha)
-            loss_value, loss_gradient = loss_value_and_gradient(weights, batch, config.l1_penalty)
+            if gram is None:
+                loss_value, loss_gradient = loss_value_and_gradient(weights, batch, config.l1_penalty)
+            else:
+                loss_value, loss_gradient = gram_loss_value_and_gradient(weights, gram, config.l1_penalty)
 
             objective = loss_value + 0.5 * rho * constraint**2 + eta * constraint
             constraint_gradient *= rho * constraint + eta
@@ -186,3 +228,10 @@ class OracleLEAST(LEAST):
 
         constraint = bound_value(weights, config.k, config.alpha)
         return weights, constraint, float(objective), steps
+
+
+class DirectOracleLEAST(OracleLEAST):
+    """:class:`OracleLEAST` that computes the loss from the samples on every call."""
+
+    def _gram(self, data: np.ndarray) -> None:
+        return None

@@ -74,6 +74,28 @@ class TestFingerprints:
         warm = LearningJob(data=data, seed=1, init_weights=init)
         assert job_fingerprint(cold, data) != job_fingerprint(warm, data)
 
+    def test_job_fingerprint_covers_the_numerics_version(self, monkeypatch):
+        """A bump re-keys every job; equal jobs still share one key."""
+        import repro.serve.cache as cache_module
+
+        data = np.random.default_rng(0).normal(size=(20, 5))
+        init = np.zeros((5, 5))
+        jobs = [
+            LearningJob(data=data, seed=1),
+            LearningJob(data=data, seed=2, solver="notears"),
+            LearningJob(data=data, seed=1, config={"k": 3}),
+            LearningJob(data=data, seed=1, init_weights=init),
+            LearningJob(data=data, seed=1, solver="least_sparse"),
+        ]
+        before = [job_fingerprint(job, data) for job in jobs]
+        monkeypatch.setattr(
+            cache_module, "SOLVER_NUMERICS_VERSION", cache_module.SOLVER_NUMERICS_VERSION + 1
+        )
+        after = [job_fingerprint(job, data) for job in jobs]
+        assert all(old != new for old, new in zip(before, after))
+        assert len(set(after)) == len(jobs)
+        assert job_fingerprint(LearningJob(data=data.copy(), seed=1), data.copy()) == after[0]
+
 
 def _result(job_id: str = "job-000") -> JobResult:
     return JobResult(
