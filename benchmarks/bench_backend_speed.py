@@ -14,12 +14,13 @@ counts must be bitwise equal.  ``benchmarks/baselines.json`` gates
 on ``speedup_at_512`` and ``speedup_at_2048``.
 
 Each row records its ``loss_form``.  The d = 128 row is full batch with
-d ≤ 2n, so both arms take the loss from ``Σ = XᵀX/n`` (the Gram form of
-``repro.core.losses``).  That row also times ``DirectOracleLEAST``, the same
-reference loop computing the loss from the samples: ``gram_speedup`` is its
-time over ``OracleLEAST``'s, so only the loss form differs between the two.
-It checks in-run that the two forms agree per call (value and gradient to
-rel 1e-10) as ``gram_parity_ok``.  Both are gated.
+d ≤ 1.5n, so both arms take the loss from the column means and centred Gram
+matrix of ``X`` (the Gram form of ``repro.core.losses``).  That row also
+times ``DirectOracleLEAST``, the reference loop computing the loss from the
+samples on every call: ``gram_speedup`` is its time over the library's
+``LEAST``, so a slower Gram path in the library lowers it.  The row checks
+in-run that the two forms agree per call (value and gradient to rel 1e-10)
+as ``gram_parity_ok``.  Both are gated.
 
 The ``sparse`` rows time LEAST-SP (``"least_sparse"``) at d ∈ {1024, 4096}
 on a per-node correlation support: the support's ``nnz``, seconds per inner
@@ -54,7 +55,7 @@ from benchmarks.helpers import append_bench_history, make_problem, print_table
 from _dense_oracle import DirectOracleLEAST, OracleLEAST
 from repro.core.acyclicity import SpectralAcyclicityBound
 from repro.core.least import LEAST, LEASTConfig
-from repro.core.losses import LeastSquaresLoss, full_batch_gram
+from repro.core.losses import LeastSquaresLoss, full_batch_moments
 from repro.core.least_sparse import SparseLEAST, SparseLEASTConfig, correlation_support
 from repro.utils.timer import Timer
 
@@ -142,9 +143,9 @@ def run_size(n_nodes: int, scenario: dict) -> dict:
     )
     assert bitwise_equal, f"d={n_nodes}: LEAST drifted from the oracle (max |dW| {max_abs_diff:g})"
 
-    gram = full_batch_gram(data, config.batch_size)
+    moments = full_batch_moments(data, config.batch_size)
     row = {
-        "loss_form": "direct" if gram is None else "gram",
+        "loss_form": "direct" if moments is None else "gram",
         "n_nodes": n_nodes,
         "n_samples": int(data.shape[0]),
         "batch_size": scenario["batch_size"],
@@ -157,12 +158,12 @@ def run_size(n_nodes: int, scenario: dict) -> dict:
         "edge_sets_equal": edge_sets_equal,
         "bitwise_equal": bitwise_equal,
     }
-    if gram is not None:
+    if moments is not None:
         _, direct_seconds = _solve(DirectOracleLEAST, data, config, seed=7)
-        gram_max_rel_diff = _gram_max_rel_diff(data, gram, config, least.weights)
+        gram_max_rel_diff = _gram_max_rel_diff(data, moments, config, least.weights)
         row.update(
             direct_oracle_seconds=direct_seconds,
-            gram_speedup=direct_seconds / max(oracle_seconds, 1e-9),
+            gram_speedup=direct_seconds / max(least_seconds, 1e-9),
             gram_max_rel_diff=gram_max_rel_diff,
             gram_parity_ok=bool(gram_max_rel_diff <= GRAM_REL_TOL),
         )
@@ -173,7 +174,10 @@ def run_size(n_nodes: int, scenario: dict) -> dict:
 
 
 def _gram_max_rel_diff(
-    data: np.ndarray, gram: np.ndarray, config: LEASTConfig, learned: np.ndarray
+    data: np.ndarray,
+    moments: tuple[np.ndarray, np.ndarray],
+    config: LEASTConfig,
+    learned: np.ndarray,
 ) -> float:
     """Largest relative gap between the two loss forms over a few ``W``.
 
@@ -186,7 +190,7 @@ def _gram_max_rel_diff(
     np.fill_diagonal(random, 0.0)
     worst = 0.0
     for weights in (np.zeros((d, d)), random, learned):
-        value, gradient = loss.value_and_gradient(weights, data, gram)
+        value, gradient = loss.value_and_gradient(weights, data, moments)
         direct_value, direct_gradient = loss.value_and_gradient(weights, data)
         worst = max(
             worst,

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.acyclicity import SpectralAcyclicityBound
-from repro.core.losses import LeastSquaresLoss, full_batch_gram, sample_batch
+from repro.core.losses import LeastSquaresLoss, full_batch_moments, sample_batch
 from repro.core.notears_constraint import notears_constraint
 from repro.core.optimizers import AdamOptimizer
 from repro.exceptions import ValidationError
@@ -301,8 +301,8 @@ class LEAST:
             weights = self._initialize(d, rng)
         log = RunLog()
         history: list[np.ndarray] = []
-        # With B = n the batch never changes, so the loss can run on XᵀX/n.
-        gram = full_batch_gram(data, config.batch_size)
+        # With B = n the batch never changes, so the loss can run on its moments.
+        moments = full_batch_moments(data, config.batch_size)
 
         converged = False
         constraint = np.inf
@@ -312,7 +312,7 @@ class LEAST:
             if not config.warm_start and (explicit_init is None or outer_iteration > 1):
                 weights = self._initialize(d, rng)
             weights, constraint, inner_loss, inner_steps = self._inner(
-                data, weights, rho, eta, rng, gram
+                data, weights, rho, eta, rng, moments
             )
             total_inner += inner_steps
             record: dict[str, float] = {
@@ -386,15 +386,15 @@ class LEAST:
         rho: float,
         eta: float,
         rng: np.random.Generator,
-        gram: np.ndarray | None,
+        moments: tuple[np.ndarray, np.ndarray] | None,
     ) -> tuple[np.ndarray, float, float, int]:
         """Inner procedure of Fig. 3: Adam on ℓ(W) with batching + thresholding.
 
         Each iteration calls ``sample_batch``, the bound's and the loss's
         ``value_and_gradient`` and ``optimizer.update`` exactly once: per-layer
         timers wrap these public calls, so the loop must not bypass them.
-        ``gram`` is :func:`full_batch_gram` of ``data``; it is only ever set
-        when every batch is ``data`` itself.
+        ``moments`` is :func:`full_batch_moments` of ``data``; it is only
+        ever set when every batch is ``data`` itself.
         """
         config = self.config
         optimizer = AdamOptimizer(learning_rate=config.learning_rate)
@@ -412,7 +412,7 @@ class LEAST:
         for steps in range(1, config.max_inner_iterations + 1):
             batch = sample_batch(data, config.batch_size, rng)
             constraint, constraint_gradient = self._bound.value_and_gradient(weights)
-            loss_value, loss_gradient = self._loss.value_and_gradient(weights, batch, gram)
+            loss_value, loss_gradient = self._loss.value_and_gradient(weights, batch, moments)
 
             objective = loss_value + 0.5 * rho * constraint**2 + eta * constraint
             constraint_gradient *= rho * constraint + eta

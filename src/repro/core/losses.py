@@ -15,14 +15,23 @@ latter keeps LEAST-SP's memory footprint at ``O(s + B·d)``.
 The dense loss has two forms.  The *direct* form works on the samples:
 ``(2/n) Xᵀ(XW − X)`` costs two ``n × d × d`` products per call.  When every
 batch is the whole sample matrix, the *Gram* form works on the sufficient
-statistic ``Σ = XᵀX/n`` instead, built once per fit by
-:func:`full_batch_gram`:
+statistics of ``X`` instead, built once per fit by :func:`full_batch_moments`:
+the column means ``μ`` and the centred Gram matrix ``C = (X − μ)ᵀ(X − μ)/n``,
+so that ``XᵀX/n = C + μμᵀ``.  With ``M = W − I`` (column ``j`` of ``XM`` is
+the residual of variable ``j``):
 
-    ∇L = 2(ΣW − Σ) + λ sign(W),   L = tr(WᵀΣW) − 2 tr(WᵀΣ) + tr(Σ) + λ ||W||_1
+    ∇L = 2(CM + μ μᵀM) + λ sign(W),   L = tr(MᵀCM) + ||μᵀM||² + λ ||W||_1
 
-for one ``d × d × d`` product per call, with no ``n``.  It pays off while
-``d ≤ 2n``.  The two forms agree to rounding, not bit for bit: the Gram form
-sums the same terms in a different order.
+for one ``d × d × d`` product per call, with no ``n``.  Timed per call it
+pays off while ``d ≤ 1.5n``; the flop count alone would say ``d ≤ 2n``
+(see ``docs/solvers.md``).  The two forms agree to rounding, not bit for
+bit: the Gram form sums the same terms in a different order.  Centring
+keeps the value's rounding relative to the spread of the data, not to its
+offset: ``tr(MᵀΣM)`` on the raw ``Σ = XᵀX/n`` would lose about ``ε·||Σ||``
+to cancellation once a fit's residuals are small next to the column means.
+The gradient still rounds ``μᵀM`` once, so its gap to the direct form
+grows with the means, to about 1e-10 of its largest entry at means 10⁴
+times the spread.
 """
 
 from __future__ import annotations
@@ -36,7 +45,7 @@ from repro.exceptions import DimensionMismatchError, ValidationError
 from repro.utils.random import RandomState, as_generator
 from repro.utils.validation import check_non_negative, ensure_2d
 
-__all__ = ["LeastSquaresLoss", "full_batch_gram", "sample_batch"]
+__all__ = ["LeastSquaresLoss", "full_batch_moments", "sample_batch"]
 
 
 def _covers_all_rows(batch_size: int | None, n_samples: int) -> bool:
@@ -56,19 +65,24 @@ def sample_batch(data: np.ndarray, batch_size: int | None, rng: np.random.Genera
     return data[indices]
 
 
-def full_batch_gram(data: np.ndarray, batch_size: int | None) -> np.ndarray | None:
-    """``Σ = XᵀX/n`` when the Gram form of the loss is the cheaper one, else None.
+def full_batch_moments(
+    data: np.ndarray, batch_size: int | None
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """``(μ, C)`` of ``data`` when the Gram form of the loss is the cheaper one, else None.
 
-    That is when :func:`sample_batch` returns ``data`` itself on every call,
-    so ``Σ`` never changes, and when ``d ≤ 2n``: the Gram form's ``d³``
-    product then costs no more than the direct form's ``2·n·d²``.
+    ``μ`` is the column means and ``C = (X − μ)ᵀ(X − μ)/n``.  The Gram form
+    is used when :func:`sample_batch` returns ``data`` itself on every call,
+    so the moments never change, and when ``d ≤ 1.5n``: timed per call, its
+    ``d³`` product is then faster than the direct form's two ``n·d²`` ones.
     """
     n_samples, n_nodes = data.shape
-    if not _covers_all_rows(batch_size, n_samples) or n_nodes > 2 * n_samples:
+    if not _covers_all_rows(batch_size, n_samples) or 2 * n_nodes > 3 * n_samples:
         return None
-    gram = data.T @ data
+    mean = data.mean(axis=0)
+    centred = data - mean
+    gram = centred.T @ centred
     gram /= n_samples
-    return gram
+    return mean, gram
 
 
 @dataclass(frozen=True)
@@ -106,16 +120,19 @@ class LeastSquaresLoss:
         return self.value_and_gradient(weights, data)[1]
 
     def value_and_gradient(
-        self, weights: np.ndarray, data: np.ndarray, gram: np.ndarray | None = None
+        self,
+        weights: np.ndarray,
+        data: np.ndarray,
+        moments: tuple[np.ndarray, np.ndarray] | None = None,
     ) -> tuple[float, np.ndarray]:
         """Return ``(L(W, X), ∇_W L(W, X))`` for a dense ``W``.
 
-        ``gram`` is ``XᵀX/n`` of ``data`` from :func:`full_batch_gram`.  When
-        given, the loss is computed from it alone and ``data`` is not read.
+        ``moments`` is :func:`full_batch_moments` of ``data``.  When given,
+        the loss is computed from it alone and ``data`` is not read.
         """
         weights = np.asarray(weights, dtype=float)
-        if gram is not None:
-            return self._gram_value_and_gradient(weights, gram)
+        if moments is not None:
+            return self._gram_value_and_gradient(weights, *moments)
         data = ensure_2d(data, "data")
         self._check_shapes(weights.shape[0], data)
         n_samples = max(data.shape[0], 1)
@@ -133,24 +150,25 @@ class LeastSquaresLoss:
         return value, gradient
 
     def _gram_value_and_gradient(
-        self, weights: np.ndarray, gram: np.ndarray
+        self, weights: np.ndarray, mean: np.ndarray, gram: np.ndarray
     ) -> tuple[float, np.ndarray]:
         if gram.shape != weights.shape:
             raise DimensionMismatchError(
                 f"gram is {gram.shape[0]} x {gram.shape[1]} but the weight matrix is "
                 f"{weights.shape[0]} x {weights.shape[1]}"
             )
-        product = gram @ weights
-        gradient = product - gram
+        shifted = weights.copy()
+        shifted.flat[:: shifted.shape[0] + 1] -= 1.0  # M = W − I
+        gradient = gram @ shifted
+        mean_residual = mean @ shifted
+        shifted *= gradient
+        smooth = float(shifted.sum()) + float(mean_residual @ mean_residual)
+        gradient += np.outer(mean, mean_residual)
         gradient *= 2.0
         penalty = np.sign(weights)
         penalty *= self.l1_penalty
         gradient += penalty
         np.fill_diagonal(gradient, 0.0)
-        product *= weights
-        smooth = (
-            float(product.sum()) - 2.0 * float((weights * gram).sum()) + float(np.trace(gram))
-        )
         value = smooth + self.l1_penalty * float(np.abs(weights).sum())
         return value, gradient
 

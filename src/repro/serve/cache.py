@@ -54,7 +54,8 @@ __all__ = [
 #: that moves learned weights by rounding, without a config field to say so,
 #: bumps it so that a persisted :class:`DiskCache` stops serving results the
 #: current code would not compute.  Version 2: full-batch dense LEAST takes
-#: its loss from ``XᵀX/n`` (see :func:`repro.core.losses.full_batch_gram`).
+#: its loss from the moments of the samples (see
+#: :func:`repro.core.losses.full_batch_moments`).
 SOLVER_NUMERICS_VERSION = 2
 
 

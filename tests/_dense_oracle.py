@@ -11,8 +11,9 @@ change to the library's cannot hide on both sides.  The parity tests and
 not collected by pytest.
 
 The loss has the library's two forms, each written out naively: the direct
-form on the batch, and the Gram form on ``Σ = XᵀX/n``, which the loop uses
-when every batch is the full sample matrix and ``d ≤ 2n``.
+form on the batch, and the Gram form on the column means ``μ`` and the
+centred Gram matrix ``(X − μ)ᵀ(X − μ)/n``, which the loop uses when every
+batch is the full sample matrix and ``d ≤ 1.5n``.
 :class:`DirectOracleLEAST` always takes the direct form, as the library did
 before it learned the Gram form.
 """
@@ -126,26 +127,28 @@ def loss_value_and_gradient(
     return value, gradient
 
 
-def gram_matrix(data: np.ndarray, batch_size) -> np.ndarray | None:
-    """``XᵀX/n`` when every batch is all of ``data`` and ``d ≤ 2n``, else None."""
+def loss_moments(data: np.ndarray, batch_size) -> tuple[np.ndarray, np.ndarray] | None:
+    """``(μ, (X − μ)ᵀ(X − μ)/n)`` when every batch is all of ``data`` and ``d ≤ 1.5n``."""
     n_samples, n_nodes = data.shape
     full_batch = batch_size is None or batch_size <= 0 or batch_size >= n_samples
-    if not full_batch or n_nodes > 2 * n_samples:
+    if not full_batch or 2 * n_nodes > 3 * n_samples:
         return None
-    return (data.T @ data) / n_samples
+    mean = data.mean(axis=0)
+    centred = data - mean
+    return mean, (centred.T @ centred) / n_samples
 
 
 def gram_loss_value_and_gradient(
-    weights: np.ndarray, gram: np.ndarray, l1_penalty: float
+    weights: np.ndarray, moments: tuple[np.ndarray, np.ndarray], l1_penalty: float
 ) -> tuple[float, np.ndarray]:
-    """The loss and its gradient from ``Σ = XᵀX/n`` instead of the samples."""
-    smooth = (
-        float((weights * (gram @ weights)).sum())
-        - 2.0 * float((weights * gram).sum())
-        + float(np.trace(gram))
-    )
+    """The loss and its gradient from the moments instead of the samples."""
+    mean, gram = moments
+    shifted = weights - np.eye(weights.shape[0])
+    product = gram @ shifted
+    mean_residual = mean @ shifted
+    smooth = float((shifted * product).sum()) + float(mean_residual @ mean_residual)
     value = smooth + l1_penalty * float(np.abs(weights).sum())
-    gradient = 2.0 * (gram @ weights - gram)
+    gradient = 2.0 * (product + np.outer(mean, mean_residual))
     gradient = gradient + l1_penalty * np.sign(weights)
     np.fill_diagonal(gradient, 0.0)
     return value, gradient
@@ -180,16 +183,16 @@ class OracleAdam:
 class OracleLEAST(LEAST):
     """``LEAST`` whose inner loop, bound, loss and Adam are the reference versions.
 
-    The ``gram`` that ``LEAST.fit`` passes in is ignored: the loop builds
-    its own.
+    The ``moments`` that ``LEAST.fit`` passes in are ignored: the loop
+    builds its own.
     """
 
-    def _gram(self, data: np.ndarray) -> np.ndarray | None:
-        return gram_matrix(data, self.config.batch_size)
+    def _moments(self, data: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+        return loss_moments(data, self.config.batch_size)
 
-    def _inner(self, data, weights, rho, eta, rng, library_gram):
+    def _inner(self, data, weights, rho, eta, rng, library_moments):
         config = self.config
-        gram = self._gram(data)
+        own_moments = self._moments(data)
         optimizer = OracleAdam(learning_rate=config.learning_rate)
         previous_objective = np.inf
         objective = np.inf
@@ -202,10 +205,12 @@ class OracleLEAST(LEAST):
         for steps in range(1, config.max_inner_iterations + 1):
             batch = sample_batch(data, config.batch_size, rng)
             constraint, constraint_gradient = bound_value_and_gradient(weights, config.k, config.alpha)
-            if gram is None:
+            if own_moments is None:
                 loss_value, loss_gradient = loss_value_and_gradient(weights, batch, config.l1_penalty)
             else:
-                loss_value, loss_gradient = gram_loss_value_and_gradient(weights, gram, config.l1_penalty)
+                loss_value, loss_gradient = gram_loss_value_and_gradient(
+                    weights, own_moments, config.l1_penalty
+                )
 
             objective = loss_value + 0.5 * rho * constraint**2 + eta * constraint
             constraint_gradient *= rho * constraint + eta
@@ -233,5 +238,5 @@ class OracleLEAST(LEAST):
 class DirectOracleLEAST(OracleLEAST):
     """:class:`OracleLEAST` that computes the loss from the samples on every call."""
 
-    def _gram(self, data: np.ndarray) -> None:
+    def _moments(self, data: np.ndarray) -> None:
         return None
