@@ -53,7 +53,6 @@ N_WORKERS = 4
 EDGE_THRESHOLD = 0.3
 DEADLINE_SECONDS = 420.0
 MEMORY_BUDGET_MB = 1536.0
-WAVE_BLOCKS = 8
 BOUNDARY_ROUNDS = 1
 SOLVER_CONFIG = {
     "batch_size": 256,
@@ -71,14 +70,13 @@ PLANNER_OPTIONS = {
     "skeleton_chunk_columns": 512,
 }
 
-# The scale rung: hierarchically planned, wave-batched, streamed.  A slimmer
+# The scale rung: hierarchically planned, one job per block, streamed.  A slimmer
 # iteration budget keeps the 5× larger problem inside a CI-friendly deadline —
 # this section gates *scale* (completion + memory), not accuracy.
 SCALE_N_NODES = 25600
 SCALE_N_COMPONENTS = 200  # 128 nodes each
 SCALE_N_SAMPLES = 200
 SCALE_PARTITION_COLUMNS = 5120
-SCALE_WAVE_BLOCKS = 16
 SCALE_DEADLINE_SECONDS = 900.0
 SCALE_MEMORY_BUDGET_MB = 2560.0
 SCALE_SOLVER_CONFIG = {
@@ -146,7 +144,7 @@ def sparse_f1(predicted: sp.spmatrix, truth: sp.spmatrix) -> dict:
 
 
 def scale_section() -> dict:
-    """The 25,600-node rung: hierarchical plan + waves + overlapped streaming."""
+    """The 25,600-node rung: hierarchical plan + overlapped streaming."""
     truth, data = build_problem(
         n_nodes=SCALE_N_NODES,
         n_components=SCALE_N_COMPONENTS,
@@ -160,7 +158,6 @@ def scale_section() -> dict:
         config=SCALE_SOLVER_CONFIG,
         n_workers=N_WORKERS,
         edge_threshold=EDGE_THRESHOLD,
-        wave_blocks=SCALE_WAVE_BLOCKS,
     )
     with Timer() as timer:
         result = executor.run_stream(data, planner, seed=0)
@@ -180,7 +177,6 @@ def scale_section() -> dict:
         "n_components": SCALE_N_COMPONENTS,
         "n_nodes": SCALE_N_NODES,
         "n_samples": SCALE_N_SAMPLES,
-        "n_waves": result.n_waves,
         "partition_columns": SCALE_PARTITION_COLUMNS,
         "peak_rss_mb": rss_peak,
         "rss_below_dense_equivalent": rss_peak < dense_matrix_mb,
@@ -189,7 +185,6 @@ def scale_section() -> dict:
         "stitched_is_sparse": stitched_sparse,
         "total_seconds": total_seconds,
         "under_deadline": total_seconds < SCALE_DEADLINE_SECONDS,
-        "wave_blocks": SCALE_WAVE_BLOCKS,
     }
 
     # Scale-rung claims, asserted every run.
@@ -229,7 +224,6 @@ def main() -> dict:
         config=SOLVER_CONFIG,
         n_workers=N_WORKERS,
         edge_threshold=EDGE_THRESHOLD,
-        wave_blocks=WAVE_BLOCKS,
         boundary_rounds=BOUNDARY_ROUNDS,
     )
     result = executor.run(data, plan, seed=0, planner=planner)
@@ -270,7 +264,6 @@ def main() -> dict:
         "stitched_is_sparse": stitched_sparse,
         "total_seconds": total_seconds,
         "under_deadline": total_seconds < DEADLINE_SECONDS,
-        "waves": {"n_waves": result.n_waves, "wave_blocks": WAVE_BLOCKS},
     }
 
     print_table(
@@ -284,7 +277,6 @@ def main() -> dict:
             ["peak RSS", f"{rss_peak:.0f} MB (budget {MEMORY_BUDGET_MB:.0f} MB)"],
             ["dense d×d would need", f"{dense_matrix_mb:.0f} MB per copy"],
             ["stitched edges", result.stitched.report.n_edges],
-            ["waves", f"{result.n_waves} ({WAVE_BLOCKS} blocks each)"],
             ["boundary rounds", len(result.rounds)],
             ["F1 vs truth", f"{metrics.get('f1', float('nan')):.3f}"],
             ["recall vs truth", f"{metrics.get('recall', float('nan')):.4f}"],
@@ -310,11 +302,10 @@ def main() -> dict:
     results["scale"] = scale_section()
     print_table(
         f"scale rung: d={SCALE_N_NODES}, partitions of "
-        f"{SCALE_PARTITION_COLUMNS} columns, waves of {SCALE_WAVE_BLOCKS}",
+        f"{SCALE_PARTITION_COLUMNS} columns",
         ["phase", "value"],
         [
-            ["blocks / waves", f"{results['scale']['n_blocks']} / "
-                               f"{results['scale']['n_waves']}"],
+            ["blocks", results["scale"]["n_blocks"]],
             ["plan+solve+stitch (streamed)",
              f"{results['scale']['total_seconds']:.2f}s "
              f"(deadline {SCALE_DEADLINE_SECONDS:.0f}s)"],

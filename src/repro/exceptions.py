@@ -39,7 +39,7 @@ class SoftDeadlineExceeded(RuntimeError):
     The backend protocol guarantees that a hook raising aborts the solve
     cooperatively; the executing worker catches this exception and reports
     the job ``"preempted"`` without dying, so the pool keeps its process.
-    Defined here (not in :mod:`repro.serve.pool`, which re-exports it) so
-    that :func:`repro.serve.job.execute_job` can catch it mid-wave without
-    a circular import.
+    Defined here with the library's other exceptions (and re-exported by
+    :mod:`repro.serve.pool`) so callers can catch it without importing the
+    pool.
     """

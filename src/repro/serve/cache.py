@@ -100,10 +100,7 @@ def fingerprint_config(config: Mapping[str, Any]) -> str:
 def job_fingerprint(job: "LearningJob", data: np.ndarray) -> str:
     """Content-addressed key of a job: solver ⊕ config ⊕ seed ⊕ data ⊕ init.
 
-    The key also covers :data:`SOLVER_NUMERICS_VERSION`.  Wave jobs
-    additionally fold the member layout (ids, widths, seeds) into the key —
-    the same stacked matrix split at different boundaries is a different
-    computation.
+    The key also covers :data:`SOLVER_NUMERICS_VERSION`.
     """
     digest = hashlib.sha256()
     digest.update(f"numerics-v{SOLVER_NUMERICS_VERSION}".encode())
@@ -115,10 +112,6 @@ def job_fingerprint(job: "LearningJob", data: np.ndarray) -> str:
         digest.update(fingerprint_array(job.init_weights).encode())
     else:
         digest.update(b"cold-start")
-    if job.wave is not None:
-        canonical = json.dumps(job.wave, sort_keys=True, default=repr)
-        digest.update(b"wave")
-        digest.update(canonical.encode())
     return digest.hexdigest()
 
 

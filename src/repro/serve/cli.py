@@ -30,7 +30,7 @@ serialized — use the cache or the Python API to retrieve them.
 ``--timeout`` is a hard deadline: overrunning workers are SIGKILLed and the
 job is reported ``"preempted"`` (``--preempt-policy requeue`` grants killed
 jobs a fresh attempt first).  Exit status is 0 when every job succeeded, 1
-when any failed, was preempted, or timed out, 2 for a malformed manifest.
+when any failed or was preempted, 2 for a malformed manifest.
 
 Observability (both faces): ``--trace-out trace.ndjson`` records the run's
 spans — per-job ``queue_wait → worker_spawn → data_materialize → solve →
@@ -329,16 +329,6 @@ def build_shard_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--wave-blocks",
-        type=int,
-        default=None,
-        help=(
-            "wave scheduling: ship this many consecutive blocks per job, "
-            "unpacked and solved member-by-member inside the worker "
-            "(default: one job per block)"
-        ),
-    )
-    parser.add_argument(
         "--boundary-rounds",
         type=int,
         default=0,
@@ -466,7 +456,6 @@ def shard_main(argv: Sequence[str] | None = None) -> int:
             preempt_policy=args.preempt_policy,
             max_retries=args.max_retries,
             edge_threshold=args.edge_threshold,
-            wave_blocks=args.wave_blocks,
             boundary_rounds=args.boundary_rounds,
             tracer=tracer,
         )
@@ -476,7 +465,7 @@ def shard_main(argv: Sequence[str] | None = None) -> int:
 
     try:
         if planner.partition_columns is not None:
-            # Overlapped plan/execute: partitions are planned and their wave
+            # Overlapped plan/execute: partitions are planned and their block
             # jobs submitted on one stream session, so no global skeleton is
             # ever built.
             result = executor.run_stream(data, planner, seed=args.seed)
@@ -515,12 +504,11 @@ def shard_main(argv: Sequence[str] | None = None) -> int:
     if not args.quiet:
         summary = result.plan.summary()
         stitch = result.stitched.report
-        waves = f", {result.n_waves} waves" if result.n_waves else ""
         rounds = f", {len(result.rounds)} re-solve rounds" if result.rounds else ""
         print(
             f"{summary['n_blocks']} blocks over {summary['n_nodes']} nodes: "
             f"{result.n_blocks_ok} ok, {result.n_blocks_failed} failed, "
-            f"{result.n_blocks_preempted} preempted{waves}{rounds} | "
+            f"{result.n_blocks_preempted} preempted{rounds} | "
             f"{stitch.n_edges} stitched edges "
             f"({stitch.n_duplicate_edges} dups, "
             f"{stitch.n_direction_conflicts} direction conflicts, "
@@ -738,7 +726,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             if latency is not None:
                 print(latency, file=sys.stderr)
 
-    return 0 if report.n_failed + report.n_timeout == 0 else 1
+    return 0 if report.n_failed + report.n_preempted == 0 else 1
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -18,14 +18,6 @@ presents the same ``fit`` face to the engine.
 :class:`JobResult` is the uniform answer record across all solvers: weights
 (dense or CSR) plus timing, iteration counts, convergence, and provenance
 (fingerprint, attempts, cache hit).
-
-**Wave jobs** amortize dispatch overhead across many small solves: a job
-whose :attr:`LearningJob.wave` is set carries several column-disjoint member
-problems stacked side by side in one data matrix.  The worker unpacks the
-stack, solves each member independently (per-member seeds, warm starts, and
-retry budgets), and returns one :class:`JobResult` whose :attr:`JobResult.parts`
-holds one member result each — this is how the sharded solver ships a whole
-*wave* of blocks through one pool dispatch instead of paying per block.
 """
 
 from __future__ import annotations
@@ -45,7 +37,7 @@ from repro.core.backend import (
     unregister_backend,
 )
 from repro.core.backend import solver_names as solver_names
-from repro.exceptions import SoftDeadlineExceeded, ValidationError
+from repro.exceptions import ValidationError
 from repro.utils.timer import Timer
 from repro.utils.validation import ensure_2d
 
@@ -132,18 +124,10 @@ class LearningJob:
     dataset_options:
         Extra keyword arguments for the dataset builder (e.g. ``n_nodes``).
     init_weights:
-        Optional warm-start matrix forwarded to the solver's ``fit``.  For a
-        wave job this is the *stacked* (block-diagonal) matrix over all
-        members; each member receives its own diagonal block.
+        Optional warm-start matrix forwarded to the solver's ``fit``.
     job_id:
         Stable identifier used in reports; auto-assigned by the runner when
         omitted.
-    wave:
-        Optional list of member descriptors turning this into a *wave* job:
-        each entry is a dict with ``job_id`` (the member's report id),
-        ``n_columns`` (how many columns of :attr:`data` belong to it — the
-        members tile the data matrix left to right), and optionally ``seed``
-        (defaults to the job-level seed).  Wave jobs require inline data.
     """
 
     solver: str = "least"
@@ -155,7 +139,6 @@ class LearningJob:
     dataset_options: dict[str, Any] = field(default_factory=dict)
     init_weights: np.ndarray | sp.spmatrix | None = None
     job_id: str | None = None
-    wave: list[dict[str, Any]] | None = None
 
     def __post_init__(self) -> None:
         spec = get_spec(self.solver)  # raises for unknown names
@@ -172,30 +155,6 @@ class LearningJob:
             )
         self.config = dict(self.config)
         self.dataset_options = dict(self.dataset_options)
-        if self.wave is not None:
-            if self.dataset is not None:
-                raise ValidationError("wave jobs require inline data")
-            if not self.wave:
-                raise ValidationError("a wave job must carry at least one member")
-            self.wave = [dict(entry) for entry in self.wave]
-            total = 0
-            for entry in self.wave:
-                n_columns = entry.get("n_columns")
-                if not isinstance(n_columns, int) or n_columns < 1:
-                    raise ValidationError(
-                        "every wave entry needs a positive integer n_columns, "
-                        f"got {entry!r}"
-                    )
-                if not entry.get("job_id"):
-                    raise ValidationError(
-                        f"every wave entry needs a job_id, got {entry!r}"
-                    )
-                total += n_columns
-            if self.data is not None and total != self.data.shape[1]:
-                raise ValidationError(
-                    f"wave entries cover {total} columns but the stacked data "
-                    f"matrix has {self.data.shape[1]}"
-                )
 
     # -- execution building blocks --------------------------------------------
 
@@ -249,8 +208,6 @@ class LearningJob:
             payload["init_weights"] = np.asarray(init).tolist()
         if self.job_id is not None:
             payload["job_id"] = self.job_id
-        if self.wave is not None:
-            payload["wave"] = [dict(entry) for entry in self.wave]
         return payload
 
     @classmethod
@@ -268,7 +225,6 @@ class LearningJob:
             "dataset_options",
             "init_weights",
             "job_id",
-            "wave",
         }
         unknown = set(payload) - known
         if unknown:
@@ -291,9 +247,7 @@ class JobResult:
         solver.
     status:
         ``"ok"`` (solved), ``"failed"`` (dataset or solver error after all
-        retries), or ``"preempted"`` (the worker was killed at its hard
-        deadline; the legacy ``"timeout"`` status only appears in results
-        unpickled from caches written before hard preemption existed).
+        retries), or ``"preempted"`` (stopped at its soft or hard deadline).
     weights:
         Learned weight matrix (dense or CSR); ``None`` unless ``status`` is
         ``"ok"``.
@@ -309,18 +263,11 @@ class JobResult:
         Content-addressed cache key of the job (``None`` when caching is off).
     error:
         Human-readable failure/preemption reason, ``None`` on success.
-    parts:
-        For a wave job, one member :class:`JobResult` per wave entry (in
-        wave order); the wave-level :attr:`weights` stays ``None`` — member
-        sub-graphs live on the parts.  ``None`` for ordinary jobs, and for
-        wave jobs whose worker died before delivering anything (hard
-        preemption, crash): there the wave-level status applies to every
-        member.
     """
 
     job_id: str
     solver: str
-    status: str  # "ok" | "failed" | "preempted" (legacy: "timeout")
+    status: str  # "ok" | "failed" | "preempted"
     weights: np.ndarray | sp.spmatrix | None = None
     constraint_value: float = float("nan")
     converged: bool = False
@@ -331,7 +278,6 @@ class JobResult:
     cache_hit: bool = False
     fingerprint: str | None = None
     error: str | None = None
-    parts: "list[JobResult] | None" = None
 
     @property
     def ok(self) -> bool:
@@ -339,20 +285,8 @@ class JobResult:
         return self.status == "ok"
 
     @property
-    def all_parts_ok(self) -> bool:
-        """True when every wave member solved (vacuously True for non-waves)."""
-        if self.parts is None:
-            return True
-        return all(part.status == "ok" for part in self.parts)
-
-    @property
     def n_edges(self) -> int:
-        """Non-zero entries of the learned weights (0 when the job failed).
-
-        A wave result sums the edges of its member parts.
-        """
-        if self.parts is not None:
-            return sum(part.n_edges for part in self.parts)
+        """Non-zero entries of the learned weights (0 when the job failed)."""
         if self.weights is None:
             return 0
         if sp.issparse(self.weights):
@@ -381,7 +315,7 @@ class JobResult:
         the CLI's ``--stream`` mode reject bare ``NaN`` tokens.
         """
         constraint = float(self.constraint_value)
-        digest = {
+        return {
             "job_id": self.job_id,
             "solver": self.solver,
             "status": self.status,
@@ -396,132 +330,6 @@ class JobResult:
             "fingerprint": self.fingerprint,
             "error": self.error,
         }
-        if self.parts is not None:
-            digest["n_parts"] = len(self.parts)
-            digest["n_parts_ok"] = sum(1 for p in self.parts if p.status == "ok")
-        return digest
-
-
-def _wave_member_job(
-    job: LearningJob,
-    entry: dict[str, Any],
-    segment: np.ndarray,
-    init: np.ndarray | sp.spmatrix | None,
-) -> LearningJob:
-    """Build the standalone job of one wave member over its column segment."""
-    seed = entry.get("seed", job.seed)
-    return LearningJob(
-        solver=job.solver,
-        data=segment,
-        config=dict(job.config),
-        seed=seed,
-        init_weights=init,
-        job_id=str(entry["job_id"]),
-    )
-
-
-def _execute_wave(
-    job: LearningJob,
-    data: np.ndarray,
-    fingerprint: str | None,
-    deadline_hooks: list | None,
-    max_retries: int,
-) -> JobResult:
-    """Solve every member of a wave job sequentially; never raises.
-
-    The members tile ``data`` left to right; each is solved as its own
-    standalone job (own seed, own diagonal block of the stacked
-    ``init_weights``, own retry budget).  A member failure costs only that
-    member.  A soft-deadline stop (:class:`~repro.exceptions.SoftDeadlineExceeded`
-    raised by a hook mid-solve) marks the interrupted member and every
-    not-yet-started member ``"preempted"`` while keeping finished parts.
-    """
-    assert job.wave is not None
-    widths = [int(entry["n_columns"]) for entry in job.wave]
-    if sum(widths) != data.shape[1]:
-        raise ValidationError(
-            f"wave entries cover {sum(widths)} columns but the stacked data "
-            f"matrix has {data.shape[1]}"
-        )
-    parts: list[JobResult] = []
-    offset = 0
-    preempted: str | None = None
-    for entry, width in zip(job.wave, widths):
-        segment = data[:, offset : offset + width]
-        init = None
-        if job.init_weights is not None:
-            block = job.init_weights[offset : offset + width, offset : offset + width]
-            init = block.tocsr() if sp.issparse(block) else block
-        offset += width
-        member = _wave_member_job(job, entry, segment, init)
-        member_id = member.job_id or member.describe()
-        if preempted is not None:
-            parts.append(
-                JobResult(
-                    job_id=member_id,
-                    solver=job.solver,
-                    status="preempted",
-                    attempts=0,
-                    error=f"wave stopped before this member: {preempted}",
-                )
-            )
-            continue
-        attempts = 0
-        last_error = "member was never attempted"
-        for _ in range(max_retries + 1):
-            attempts += 1
-            try:
-                part = execute_job(
-                    member, data=segment, deadline_hooks=deadline_hooks
-                )
-                part.attempts = attempts
-                parts.append(part)
-                break
-            except SoftDeadlineExceeded as exc:
-                preempted = str(exc)
-                parts.append(
-                    JobResult(
-                        job_id=member_id,
-                        solver=job.solver,
-                        status="preempted",
-                        attempts=attempts,
-                        error=preempted,
-                    )
-                )
-                break
-            except Exception as exc:  # noqa: BLE001 - failures become status
-                last_error = f"{type(exc).__name__}: {exc}"
-        else:
-            parts.append(
-                JobResult(
-                    job_id=member_id,
-                    solver=job.solver,
-                    status="failed",
-                    attempts=attempts,
-                    error=last_error,
-                )
-            )
-    n_failed = sum(1 for part in parts if part.status == "failed")
-    if preempted is not None:
-        status, error = "preempted", preempted
-    elif n_failed:
-        status = "failed"
-        first = next(part for part in parts if part.status == "failed")
-        error = f"{n_failed}/{len(parts)} wave members failed; first: {first.error}"
-    else:
-        status, error = "ok", None
-    return JobResult(
-        job_id=job.job_id or job.describe(),
-        solver=job.solver,
-        status=status,
-        converged=all(part.converged for part in parts) if status == "ok" else False,
-        n_outer_iterations=sum(part.n_outer_iterations for part in parts),
-        n_inner_iterations=sum(part.n_inner_iterations for part in parts),
-        elapsed_seconds=sum(part.elapsed_seconds for part in parts),
-        fingerprint=fingerprint,
-        error=error,
-        parts=parts,
-    )
 
 
 def execute_job(
@@ -529,7 +337,6 @@ def execute_job(
     data: np.ndarray | None = None,
     fingerprint: str | None = None,
     deadline_hooks: list | None = None,
-    max_retries: int = 0,
 ) -> JobResult:
     """Run ``job`` once and return its :class:`JobResult`.
 
@@ -542,14 +349,6 @@ def execute_job(
     soft-deadline check (:class:`repro.exceptions.SoftDeadlineExceeded`) so a
     deadline-bound solve can stop cooperatively at an iteration boundary.
 
-    Wave jobs (:attr:`LearningJob.wave` set) are unpacked here, worker-side:
-    each member is solved independently over its own column segment and the
-    returned result carries one entry per member in :attr:`JobResult.parts`.
-    ``max_retries`` grants each *member* that many extra attempts (ordinary
-    jobs ignore it — their retry loop lives in the caller), member failures
-    become ``"failed"`` parts instead of exceptions, and a soft-deadline stop
-    preempts only the interrupted and not-yet-started members.
-
     When a tracer is active (:func:`repro.obs.current_tracer`), the solve is
     wrapped in a ``solve`` span and the backend's per-outer-iteration hooks
     emit one ``outer_iter`` child span per iteration, so solver-internal time
@@ -559,8 +358,6 @@ def execute_job(
 
     if data is None:
         data = job.resolve_data()
-    if job.wave is not None:
-        return _execute_wave(job, data, fingerprint, deadline_hooks, max_retries)
     backend = job.build_backend()
     tracer = current_tracer()
     extra_hooks = list(deadline_hooks) if deadline_hooks else []

@@ -88,9 +88,9 @@ def _mp_context() -> mp.context.BaseContext:
     return mp.get_context(method)
 
 
-# SoftDeadlineExceeded lives in repro.exceptions (execute_job catches it
-# mid-wave); it stays re-exported here because this module raises it and the
-# historical import path is repro.serve.pool.SoftDeadlineExceeded.
+# SoftDeadlineExceeded lives in repro.exceptions; it stays re-exported here
+# because this module raises it and the historical import path is
+# repro.serve.pool.SoftDeadlineExceeded.
 
 
 # -- worker-side code ----------------------------------------------------------
@@ -164,37 +164,12 @@ def _execute_with_retry(
         An ``"ok"`` result from the first successful attempt, a
         ``"preempted"`` result for a soft-deadline stop, or a ``"failed"``
         result carrying the last error once the budget is spent.
-
-    Wave jobs (``job.wave`` set) are delegated to :func:`execute_job` in a
-    single call: the retry budget applies *per wave member* inside it, so
-    one bad block costs its own retries, not a re-solve of the whole wave,
-    and a soft-deadline stop keeps the members that already finished.
     """
     last_error = "job was never attempted"
     attempts = base_attempts
     hooks = None
     if soft_deadline_at is not None:
         hooks = [_soft_deadline_hook(soft_deadline_at, soft_timeout or 0.0)]
-    if job.wave is not None:
-        try:
-            result = execute_job(
-                job,
-                data=data,
-                fingerprint=fingerprint,
-                deadline_hooks=hooks,
-                max_retries=max_retries,
-            )
-            result.attempts = base_attempts + 1
-            return result
-        except Exception as exc:  # noqa: BLE001 - failures become job status
-            return JobResult(
-                job_id=job.job_id or job.describe(),
-                solver=job.solver,
-                status="failed",
-                attempts=base_attempts + 1,
-                fingerprint=fingerprint,
-                error=f"{type(exc).__name__}: {exc}",
-            )
     for _ in range(max_retries + 1):
         attempts += 1
         try:

@@ -180,7 +180,7 @@ class RelearnScheduler:
         monolithically: a :class:`~repro.shard.planner.ShardPlanner`
         decomposes the window, each block runs as a streamed job, and the
         stitched DAG becomes the window's result.  A ``window_deadline`` is
-        split across the serial block waves (each block gets
+        split across the serial block rounds (each block gets
         ``window_deadline / ceil(n_blocks / shard_n_workers)``) so the
         *window* stays bounded, not just each block.
         Sharded windows always solve cold (block solves cannot reuse the
@@ -520,7 +520,7 @@ class RelearnScheduler:
         :attr:`last_shard_result` (and in the window's
         ``n_blocks_unsolved``).  ``window_deadline`` bounds the *window*:
         each block's hard deadline is the window budget divided by the number
-        of serial block waves.  Blocks run on the window's effective backend
+        of serial block rounds.  Blocks run on the window's effective backend
         (``solver_name``); sparse blocks stitch into a CSR result.
         """
         from repro.shard.executor import ShardExecutor
@@ -542,10 +542,10 @@ class RelearnScheduler:
             config_dict["support"] = "correlation"
         block_deadline = None
         if self.window_deadline is not None:
-            # Blocks run in ceil(n_blocks / workers) serial waves; giving each
-            # block (window / waves) keeps the whole window within budget.
-            waves = -(-plan.n_blocks // max(self.shard_n_workers, 1))
-            block_deadline = self.window_deadline / max(waves, 1)
+            # Blocks run in ceil(n_blocks / workers) serial rounds; giving each
+            # block (window / rounds) keeps the whole window within budget.
+            serial_rounds = -(-plan.n_blocks // max(self.shard_n_workers, 1))
+            block_deadline = self.window_deadline / max(serial_rounds, 1)
         executor = ShardExecutor(
             solver=solver_name,
             config=config_dict,

@@ -144,18 +144,6 @@ class BatchReport:
         return sum(1 for result in self.results if result.status == "preempted")
 
     @property
-    def n_timeout(self) -> int:
-        """Deadline-blown jobs.
-
-        Retained for backward compatibility with the cooperative-timeout era;
-        hard preemption records these as ``"preempted"``, so this is an alias
-        of :attr:`n_preempted` (plus any legacy ``"timeout"`` records loaded
-        from old caches).
-        """
-        legacy = sum(1 for result in self.results if result.status == "timeout")
-        return legacy + self.n_preempted
-
-    @property
     def n_cache_hits(self) -> int:
         """Number of jobs served from the result cache."""
         return sum(1 for result in self.results if result.cache_hit)
@@ -178,7 +166,6 @@ class BatchReport:
             "n_jobs": self.n_jobs,
             "n_ok": self.n_ok,
             "n_failed": self.n_failed,
-            "n_timeout": self.n_timeout,
             "n_preempted": self.n_preempted,
             "n_cache_hits": self.n_cache_hits,
             "n_workers": self.n_workers,

@@ -9,18 +9,12 @@ fail/requeue preemption policy, and result caching.  Block results are
 consumed as they stream in; once the stream drains, the surviving sub-graphs
 are merged by :class:`~repro.shard.stitcher.Stitcher` into one global DAG.
 
-Three mechanisms push the sharded path toward very wide problems:
+Two mechanisms push the sharded path toward very wide problems:
 
-* **Wave scheduling** (:attr:`ShardExecutor.wave_blocks`): consecutive blocks
-  are shipped as one *wave* job — their column sets stacked side by side in a
-  single data matrix, unpacked and solved member-by-member inside the worker
-  (:func:`repro.serve.job.execute_job`).  One dispatch, one pickling round
-  trip, and one cache entry amortize over the whole wave, which is what makes
-  tens of thousands of tiny blocks affordable.
 * **Overlapped plan/execute** (:meth:`ShardExecutor.run_stream`): with a
   hierarchical planner (:attr:`~repro.shard.planner.ShardPlanner.partition_columns`)
   the executor opens a :class:`~repro.serve.streaming.StreamSession` and
-  submits each partition's waves the moment that partition is planned, so
+  submits each partition's block jobs the moment that partition is planned, so
   block solves run while later partitions are still being planned — and no
   single global skeleton ever has to exist in memory.
 * **Boundary re-solve** (:attr:`ShardExecutor.boundary_rounds`): after the
@@ -31,11 +25,10 @@ Three mechanisms push the sharded path toward very wide problems:
   recovers cross-partition edges the partitioned first pass could not see.
 
 Failure containment is the point of running blocks as independent jobs: a
-block whose worker crashes or blows its deadline costs exactly that block —
-or, for a hard-killed wave, exactly that wave — and the stitcher assembles a
-DAG from the survivors while the gap (which blocks and which owned nodes are
-missing) is recorded in the :class:`ShardResult` report instead of poisoning
-the whole solve.
+block whose worker crashes or blows its deadline costs exactly that block,
+and the stitcher assembles a DAG from the survivors while the gap (which
+blocks and which owned nodes are missing) is recorded in the
+:class:`ShardResult` report instead of poisoning the whole solve.
 """
 
 from __future__ import annotations
@@ -43,7 +36,7 @@ from __future__ import annotations
 import contextlib
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -91,9 +84,7 @@ class ShardResult:
         re-solve rounds ran).
     block_results:
         One :class:`~repro.serve.job.JobResult` per block of the plan, in
-        block order.  For wave-scheduled passes these are the unpacked
-        member results; a wave that died before delivering anything yields
-        one synthesized result per member block carrying the wave's status.
+        block order.
     missing_nodes:
         Global indices owned by blocks that did not produce a usable
         sub-graph (failed, preempted, or anomalously weight-less) and that
@@ -111,9 +102,6 @@ class ShardResult:
         currently the one observable from outside a worker: a result whose
         ``status`` is ``"ok"`` but whose weights are missing.  Anomalous
         blocks are treated as gaps (their owned nodes count as missing).
-    n_waves:
-        Wave jobs dispatched across the whole solve (0 when wave scheduling
-        is off).
     rounds:
         One JSON-able record per executed boundary re-solve round (counters
         plus per-block digests).
@@ -131,9 +119,16 @@ class ShardResult:
     total_seconds: float = 0.0
     preemption: dict[str, float] = field(default_factory=dict)
     anomalies: dict[str, str] = field(default_factory=dict)
-    n_waves: int = 0
     rounds: list[dict[str, Any]] = field(default_factory=list)
     initial_weights: np.ndarray | sp.csr_matrix | None = None
+
+    @property
+    def n_waves(self) -> int:
+        """Always 0: every block is its own job.
+
+        Kept so callers that still add it up keep running.
+        """
+        return 0
 
     @property
     def n_blocks_ok(self) -> int:
@@ -200,7 +195,6 @@ class ShardResult:
                     len(self.missing_nodes) > MISSING_NODES_REPORT_CAP
                 ),
             },
-            "waves": {"n_waves": self.n_waves},
             "resolve": {
                 "n_rounds": len(self.rounds),
                 "rounds": [dict(entry) for entry in self.rounds],
@@ -249,17 +243,15 @@ class ShardExecutor:
         Concurrent worker processes of the underlying
         :class:`~repro.serve.streaming.StreamingRunner`.
     timeout:
-        Hard per-job deadline in seconds (``None`` disables preemption).
-        With wave scheduling the deadline covers the *whole wave*.
+        Hard per-block deadline in seconds (``None`` disables preemption).
     preempt_policy, preempt_retries:
         Forwarded to the streaming engine: what happens to a job killed at
         its deadline (``"fail"`` or ``"requeue"`` with fresh attempts).
     max_retries:
-        Extra in-worker attempts for failing block solves (per wave member
-        when wave scheduling is on).
+        Extra in-worker attempts for failing block solves.
     cache:
         Optional :class:`~repro.serve.cache.ResultCache` shared across runs —
-        re-solving an unchanged block (or wave) becomes a cache hit.
+        re-solving an unchanged block becomes a cache hit.
     edge_threshold:
         Entries with ``|weight|`` below this are dropped from each block's
         sub-graph *before* stitching, so conflict accounting operates on the
@@ -268,20 +260,15 @@ class ShardExecutor:
         The :class:`~repro.shard.stitcher.Stitcher` to merge with (a default
         one is built when omitted).
     soft_timeout:
-        Optional cooperative per-job deadline (seconds, ≤ ``timeout``):
+        Optional cooperative per-block deadline (seconds, ≤ ``timeout``):
         block solvers are asked to stop at an outer-iteration boundary before
-        the hard SIGKILL tier fires.  Inside a wave, a soft stop preempts the
-        interrupted member and every not-yet-started member while keeping
-        the finished parts.
+        the hard SIGKILL tier fires.
     max_jobs_per_worker:
         Recycle a pool worker after this many jobs (``None`` keeps workers
         for the whole pass).
     wave_blocks:
-        Wave scheduling: ship this many consecutive blocks per
-        :class:`~repro.serve.job.LearningJob` (``None`` or ``1`` keeps the
-        one-job-per-block layout).  The members are unpacked and solved
-        independently inside the worker; a hard-killed wave loses exactly
-        its own members.
+        Accepted and ignored: every block is its own job.  Kept so callers
+        that still pass it keep running.
     boundary_rounds:
         Boundary re-solve: after the first stitch, run this many extra
         rounds that re-plan the boundary node set (owned nodes of
@@ -314,10 +301,6 @@ class ShardExecutor:
         tracer=None,
     ) -> None:
         check_non_negative(edge_threshold, "edge_threshold")
-        if wave_blocks is not None and wave_blocks < 1:
-            raise ValidationError(
-                f"wave_blocks must be >= 1, got {wave_blocks}"
-            )
         if boundary_rounds < 0:
             raise ValidationError(
                 f"boundary_rounds must be >= 0, got {boundary_rounds}"
@@ -340,7 +323,6 @@ class ShardExecutor:
         self.stitcher = stitcher or Stitcher()
         self.soft_timeout = soft_timeout
         self.max_jobs_per_worker = max_jobs_per_worker
-        self.wave_blocks = int(wave_blocks) if wave_blocks is not None else None
         self.boundary_rounds = int(boundary_rounds)
         self.tracer = tracer
 
@@ -349,13 +331,11 @@ class ShardExecutor:
     def build_jobs(
         self, data: np.ndarray, plan: ShardPlan, seed: int | None = 0
     ) -> list[LearningJob]:
-        """Materialize the jobs of ``plan`` (one per block, or one per wave).
+        """Materialize the jobs of ``plan``, one per block.
 
-        Block ``k`` keeps ``job_id="block-kkk"`` and seed ``seed + k`` so
+        Block ``k`` gets ``job_id="block-kkk"`` and seed ``seed + k`` so
         block solves stay individually reproducible yet mutually
-        decorrelated; with :attr:`wave_blocks` set the blocks ride as wave
-        members under ``job_id="wave-kkk"`` (``k`` = first member's index)
-        and carry the same per-member ids and seeds in the wave manifest.
+        decorrelated.
         """
         data = ensure_2d(data, "data")
         if data.shape[1] != plan.n_nodes:
@@ -373,165 +353,67 @@ class ShardExecutor:
         seed: int | None,
         id_prefix: str = "",
         warm_starts: dict[int, np.ndarray | sp.spmatrix] | None = None,
-    ) -> tuple[list[LearningJob], dict[str, list[tuple[ShardBlock, str]]]]:
-        """Build the jobs for ``blocks`` plus the job-id → members routing map.
-
-        The map sends each job id to its ``(block, member_job_id)`` pairs in
-        wave order — a per-block job maps to itself — which is everything
-        :meth:`_consume` needs to route streamed results (including
-        synthesized outcomes for waves that died wholesale) back to blocks.
-        """
+    ) -> tuple[list[LearningJob], dict[str, ShardBlock]]:
+        """Build one job per block plus the job-id → block routing map."""
         jobs: list[LearningJob] = []
-        members: dict[str, list[tuple[ShardBlock, str]]] = {}
-        wave = self.wave_blocks if self.wave_blocks and self.wave_blocks > 1 else None
-        if wave is None:
-            for block in blocks:
-                job_id = f"{id_prefix}block-{block.index:03d}"
-                columns = np.asarray(block.nodes, dtype=int)
-                jobs.append(
-                    LearningJob(
-                        solver=self.solver,
-                        data=np.ascontiguousarray(data[:, columns]),
-                        config=dict(self.config),
-                        seed=None if seed is None else seed + block.index,
-                        init_weights=(
-                            None
-                            if warm_starts is None
-                            else warm_starts.get(block.index)
-                        ),
-                        job_id=job_id,
-                    )
-                )
-                members[job_id] = [(block, job_id)]
-            return jobs, members
-        blocks = list(blocks)
-        for start in range(0, len(blocks), wave):
-            group = blocks[start : start + wave]
-            job_id = f"{id_prefix}wave-{group[0].index:03d}"
-            entries = []
-            segments = []
-            routing = []
-            for block in group:
-                member_id = f"{id_prefix}block-{block.index:03d}"
-                entry: dict[str, Any] = {
-                    "job_id": member_id,
-                    "n_columns": len(block.nodes),
-                }
-                if seed is not None:
-                    entry["seed"] = seed + block.index
-                entries.append(entry)
-                segments.append(data[:, np.asarray(block.nodes, dtype=int)])
-                routing.append((block, member_id))
+        routing: dict[str, ShardBlock] = {}
+        for block in blocks:
+            job_id = f"{id_prefix}block-{block.index:03d}"
+            columns = np.asarray(block.nodes, dtype=int)
             jobs.append(
                 LearningJob(
                     solver=self.solver,
-                    data=np.ascontiguousarray(np.concatenate(segments, axis=1)),
+                    data=np.ascontiguousarray(data[:, columns]),
                     config=dict(self.config),
-                    seed=seed,
-                    init_weights=self._stack_inits(group, warm_starts),
+                    seed=None if seed is None else seed + block.index,
+                    init_weights=(
+                        None if warm_starts is None else warm_starts.get(block.index)
+                    ),
                     job_id=job_id,
-                    wave=entries,
                 )
             )
-            members[job_id] = routing
-        return jobs, members
-
-    def _stack_inits(
-        self,
-        group: Sequence[ShardBlock],
-        warm_starts: dict[int, np.ndarray | sp.spmatrix] | None,
-    ) -> np.ndarray | sp.spmatrix | None:
-        """Block-diagonal stacked warm start of one wave (``None`` when cold)."""
-        if warm_starts is None:
-            return None
-        inits = [warm_starts.get(block.index) for block in group]
-        if all(init is None for init in inits):
-            return None
-        widths = [len(block.nodes) for block in group]
-        any_sparse = any(sp.issparse(init) for init in inits)
-        filled = [
-            init
-            if init is not None
-            else (
-                sp.csr_matrix((width, width))
-                if any_sparse
-                else np.zeros((width, width))
-            )
-            for init, width in zip(inits, widths)
-        ]
-        if any_sparse:
-            return sp.block_diag(
-                [sp.csr_matrix(init) for init in filled], format="csr"
-            )
-        total = sum(widths)
-        stacked = np.zeros((total, total))
-        offset = 0
-        for init, width in zip(filled, widths):
-            stacked[offset : offset + width, offset : offset + width] = np.asarray(
-                init, dtype=float
-            )
-            offset += width
-        return stacked
+            routing[job_id] = block
+        return jobs, routing
 
     # -- result consumption ----------------------------------------------------
 
     def _consume(
         self,
         result: JobResult,
-        members: dict[str, list[tuple[ShardBlock, str]]],
+        routing: dict[str, ShardBlock],
         outcomes: dict[int, JobResult],
         survivors: list[tuple[ShardBlock, np.ndarray | sp.spmatrix]],
         anomalies: dict[str, str],
     ) -> None:
-        """Route one streamed result back to its block(s).
+        """Route one streamed result back to its block.
 
-        Wave results are unpacked into their member parts; a wave that died
-        without delivering parts (hard preemption, worker crash) synthesizes
-        one outcome per member carrying the wave-level status, so the loss
-        is exactly that wave.  A part that claims ``"ok"`` without weights
-        violates the result contract: it is recorded as an anomaly and its
-        block is *not* a survivor — its owned nodes count as missing.
+        A result that claims ``"ok"`` without weights violates the result
+        contract: it is recorded as an anomaly and its block is *not* a
+        survivor — its owned nodes count as missing.
         """
-        routing = members[result.job_id]
-        if result.parts is not None:
-            parts: Iterable[JobResult] = result.parts
-        elif len(routing) == 1 and routing[0][1] == result.job_id:
-            parts = [result]
-        else:
-            parts = [
-                JobResult(
-                    job_id=member_id,
-                    solver=result.solver,
-                    status=result.status,
-                    attempts=result.attempts,
-                    cache_hit=result.cache_hit,
-                    error=result.error,
-                )
-                for _, member_id in routing
-            ]
-        for (block, member_id), part in zip(routing, parts):
-            outcomes[block.index] = part
-            if self.tracer is not None:
-                self.tracer.metrics.counter(
-                    "shard_blocks_total", status=part.status
-                ).inc()
-            if part.status != "ok":
-                continue
-            if part.weights is None:
-                anomalies[member_id] = (
-                    "result claimed status 'ok' but carried no weights; "
-                    "treating the block's owned nodes as missing"
-                )
-                continue
-            # Keep each block's native representation: CSR block results are
-            # thresholded on their data vector and handed to the stitcher
-            # still sparse.
-            local = part.weights
-            if not sp.issparse(local):
-                local = np.asarray(local, dtype=float)
-            if self.edge_threshold > 0.0:
-                local = threshold_weights(local, self.edge_threshold)
-            survivors.append((block, local))
+        block = routing[result.job_id]
+        outcomes[block.index] = result
+        if self.tracer is not None:
+            self.tracer.metrics.counter(
+                "shard_blocks_total", status=result.status
+            ).inc()
+        if result.status != "ok":
+            return
+        if result.weights is None:
+            anomalies[result.job_id] = (
+                "result claimed status 'ok' but carried no weights; "
+                "treating the block's owned nodes as missing"
+            )
+            return
+        # Keep each block's native representation: CSR block results are
+        # thresholded on their data vector and handed to the stitcher still
+        # sparse.
+        local = result.weights
+        if not sp.issparse(local):
+            local = np.asarray(local, dtype=float)
+        if self.edge_threshold > 0.0:
+            local = threshold_weights(local, self.edge_threshold)
+        survivors.append((block, local))
 
     # -- execution -------------------------------------------------------------
 
@@ -563,7 +445,7 @@ class ShardExecutor:
         """Execute the plan on the streaming engine and stitch the survivors.
 
         Results are consumed in completion order as the engine yields them;
-        preempted or failed blocks (or whole waves) become gaps in the
+        preempted or failed blocks become gaps in the
         :class:`ShardResult` rather than errors.  With
         :attr:`boundary_rounds` set, the gaps-and-halos boundary is
         re-planned and re-solved after the first stitch (``planner``
@@ -591,15 +473,14 @@ class ShardExecutor:
                         n_nodes=plan.n_nodes,
                     )
                 )
-            jobs, members = self._build_block_jobs(data, plan.blocks, seed)
-            n_waves = sum(1 for job in jobs if job.wave is not None)
+            jobs, routing = self._build_block_jobs(data, plan.blocks, seed)
             outcomes: dict[int, JobResult] = {}
             survivors: list[tuple[ShardBlock, np.ndarray | sp.spmatrix]] = []
             anomalies: dict[str, str] = {}
             preemption: dict[str, float] = {}
             runner = self._make_runner()
             for result in runner.stream(jobs):
-                self._consume(result, members, outcomes, survivors, anomalies)
+                self._consume(result, routing, outcomes, survivors, anomalies)
             self._accumulate(preemption, runner.telemetry.preemption_summary())
             result = self._finish(
                 data=data,
@@ -609,7 +490,6 @@ class ShardExecutor:
                 outcomes=outcomes,
                 survivors=survivors,
                 anomalies=anomalies,
-                n_waves=n_waves,
                 preemption=preemption,
                 shard_span=shard_span,
                 timer=timer,
@@ -627,7 +507,7 @@ class ShardExecutor:
 
         Each batch from
         :meth:`~repro.shard.planner.ShardPlanner.iter_block_batches` is
-        turned into (wave) jobs and submitted the moment it exists, so block
+        turned into block jobs and submitted the moment it exists, so block
         solves for partition ``k`` run while partition ``k+1`` is still
         being planned.  Between batches the session is polled without
         blocking; once planning is exhausted the remaining jobs drain as in
@@ -654,9 +534,8 @@ class ShardExecutor:
             outcomes: dict[int, JobResult] = {}
             survivors: list[tuple[ShardBlock, np.ndarray | sp.spmatrix]] = []
             anomalies: dict[str, str] = {}
-            members: dict[str, list[tuple[ShardBlock, str]]] = {}
+            routing: dict[str, ShardBlock] = {}
             preemption: dict[str, float] = {}
-            n_waves = 0
             runner = self._make_runner()
             session = runner.open_session()
             pending: deque[LearningJob] = deque()
@@ -668,13 +547,13 @@ class ShardExecutor:
                         immediate = session.submit(pending.popleft())
                         if immediate is not None:
                             self._consume(
-                                immediate, members, outcomes, survivors, anomalies
+                                immediate, routing, outcomes, survivors, anomalies
                             )
                     if not (pending or session.in_flight):
                         return
                     for _, finished in session.poll(None if drain else 0):
                         self._consume(
-                            finished, members, outcomes, survivors, anomalies
+                            finished, routing, outcomes, survivors, anomalies
                         )
                     if not drain:
                         return
@@ -685,13 +564,10 @@ class ShardExecutor:
                 ):
                     blocks.extend(batch)
                     total_edges += n_edges
-                    batch_jobs, batch_members = self._build_block_jobs(
+                    batch_jobs, batch_routing = self._build_block_jobs(
                         data, batch, seed
                     )
-                    n_waves += sum(
-                        1 for job in batch_jobs if job.wave is not None
-                    )
-                    members.update(batch_members)
+                    routing.update(batch_routing)
                     pending.extend(batch_jobs)
                     pump(drain=False)
                 pump(drain=True)
@@ -714,7 +590,6 @@ class ShardExecutor:
                 outcomes=outcomes,
                 survivors=survivors,
                 anomalies=anomalies,
-                n_waves=n_waves,
                 preemption=preemption,
                 shard_span=shard_span,
                 timer=timer,
@@ -733,7 +608,6 @@ class ShardExecutor:
         outcomes: dict[int, JobResult],
         survivors: list[tuple[ShardBlock, np.ndarray | sp.spmatrix]],
         anomalies: dict[str, str],
-        n_waves: int,
         preemption: dict[str, float],
         shard_span,
         timer: Timer,
@@ -753,7 +627,6 @@ class ShardExecutor:
         rounds: list[dict[str, Any]] = []
         if self.boundary_rounds > 0:
             initial_weights = stitched.weights
-            n_waves_box = [n_waves]
             stitched, missing = self._boundary_resolve(
                 data=data,
                 plan=plan,
@@ -765,9 +638,7 @@ class ShardExecutor:
                 anomalies=anomalies,
                 preemption=preemption,
                 rounds=rounds,
-                n_waves_box=n_waves_box,
             )
-            n_waves = n_waves_box[0]
         if shard_span is not None:
             shard_span.set_attributes(
                 n_blocks_ok=sum(1 for r in block_results if r.status == "ok"),
@@ -783,7 +654,6 @@ class ShardExecutor:
             total_seconds=timer.elapsed,
             preemption=preemption,
             anomalies=anomalies,
-            n_waves=n_waves,
             rounds=rounds,
             initial_weights=initial_weights,
         )
@@ -883,7 +753,6 @@ class ShardExecutor:
         anomalies: dict[str, str],
         preemption: dict[str, float],
         rounds: list[dict[str, Any]],
-        n_waves_box: list[int],
     ) -> tuple[StitchedGraph, list[int]]:
         """Run the configured boundary re-solve rounds; returns final stitch.
 
@@ -892,8 +761,7 @@ class ShardExecutor:
         boundary columns only — that skeleton can connect nodes from
         different partitions, which is exactly what the partitioned first
         pass cannot see.  Round blocks are warm-started from the current
-        stitched graph, executed like any other block set (waves included),
-        and stitched in with every earlier survivor.
+        stitched graph, executed like any other block set, and stitched in with every earlier survivor.
         """
         sub_planner = self._resolve_planner(plan, planner)
         halo_nodes = sorted({node for block in plan.blocks for node in block.halo})
@@ -923,14 +791,13 @@ class ShardExecutor:
             ]
             next_index += len(round_blocks)
             warm = self._warm_starts(stitched.weights, round_blocks, data, seed)
-            jobs, members = self._build_block_jobs(
+            jobs, routing = self._build_block_jobs(
                 data,
                 round_blocks,
                 seed,
                 id_prefix=f"r{round_no}-",
                 warm_starts=warm,
             )
-            n_waves_box[0] += sum(1 for job in jobs if job.wave is not None)
             round_outcomes: dict[int, JobResult] = {}
             round_survivors: list[
                 tuple[ShardBlock, np.ndarray | sp.spmatrix]
@@ -938,7 +805,7 @@ class ShardExecutor:
             runner = self._make_runner()
             for result in runner.stream(jobs):
                 self._consume(
-                    result, members, round_outcomes, round_survivors, anomalies
+                    result, routing, round_outcomes, round_survivors, anomalies
                 )
             self._accumulate(preemption, runner.telemetry.preemption_summary())
             edges_before = _edge_count(stitched.weights)

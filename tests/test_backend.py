@@ -256,20 +256,3 @@ class TestJobIntegration:
         job = LearningJob(solver="least", data=data, config=dict(FAST))
         with pytest.raises(SoftDeadlineExceeded):
             execute_job(job, deadline_hooks=[hook])
-
-    def test_wave_job_marks_members_preempted(self, data):
-        from repro.serve.job import LearningJob, execute_job
-
-        def hook():
-            raise SoftDeadlineExceeded("budget spent")
-
-        wave = [
-            {"job_id": "a", "n_columns": data.shape[1], "seed": 0},
-            {"job_id": "b", "n_columns": data.shape[1], "seed": 0},
-        ]
-        job = LearningJob(
-            solver="least", data=np.hstack([data, data]), config=dict(FAST), wave=wave
-        )
-        result = execute_job(job, deadline_hooks=[hook])
-        assert result.status == "preempted"
-        assert [part.status for part in result.parts] == ["preempted", "preempted"]

@@ -176,12 +176,10 @@ class TestShardSubcommand:
             "gaps",
             "total_seconds",
             "preemption",
-            "waves",
             "resolve",
         }
         assert report["plan"]["n_nodes"] == 10
         assert report["gaps"]["n_missing_nodes"] == 0
-        assert report["waves"]["n_waves"] == 0
         assert report["resolve"]["n_rounds"] == 0
         assert all(block["status"] == "ok" for block in report["blocks"])
         weights = np.load(weights_path)

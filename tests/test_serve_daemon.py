@@ -175,6 +175,27 @@ class TestDaemonIntake:
         assert daemon.n_rejected == 3
         assert daemon.n_accepted == 2
 
+    def test_wave_submission_is_rejected(self, instant_solver, tmp_path):
+        """A line carrying the removed ``wave`` key gets a rejected record."""
+        daemon = ServeDaemon(
+            StreamingRunner(n_workers=1, timeout=30.0), tmp_path / "spool"
+        )
+        wave = [
+            {"job_id": "block-000", "n_columns": 1},
+            {"job_id": "block-001", "n_columns": 2},
+        ]
+        _submit(daemon, "waves", [_submission_line(wave=wave), _submission_line()])
+        _drain(daemon)
+        daemon.close()
+        records = _result_lines(daemon, "waves")
+        rejected = [r for r in records if r["type"] == "rejected"]
+        completed = [r for r in records if r["type"] == "result"]
+        assert [r["line"] for r in rejected] == [1]
+        assert "wave" in rejected[0]["reason"]
+        assert len(completed) == 1
+        assert daemon.n_rejected == 1
+        assert daemon.n_accepted == 1
+
     def test_admission_control_rejects_past_max_pending(
         self, instant_solver, tmp_path
     ):

@@ -6,7 +6,9 @@ every case the stitcher must still emit a DAG from the surviving blocks and
 the gap (which blocks, which owned nodes) must be recorded in the run report.
 These tests run the real engine with worker processes, so they are written to
 pass under both ``fork`` and ``spawn`` start methods (module-level solver
-classes, picklable configs).
+classes, picklable configs).  The same goes for the determinism pin: the
+stitched weights depend only on (data, plan, config, seed), never on how the
+blocks were dispatched.
 """
 
 from __future__ import annotations
@@ -16,13 +18,14 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from repro.core.least import LEASTConfig, LEASTResult
 from repro.graph.dag import is_dag
 from repro.serve.job import JobResult, register_solver, unregister_solver
 from repro.serve.scheduler import RelearnScheduler
 from repro.shard.executor import ShardExecutor, ShardResult
-from repro.shard.planner import ShardBlock, ShardPlan
+from repro.shard.planner import ShardBlock, ShardPlan, ShardPlanner
 from repro.shard.stitcher import StitchedGraph, Stitcher
 
 # Concurrency suite: abort with tracebacks instead of hanging CI on deadlock.
@@ -201,6 +204,47 @@ def test_all_blocks_preempted_yields_empty_dag(hang_solver):
     assert np.count_nonzero(result.weights) == 0
     assert is_dag(result.weights)
     assert result.missing_nodes == list(range(11))
+
+
+def test_stitched_weights_bitwise_equal_across_dispatch():
+    """Workers, entry point and ``wave_blocks`` do not move a single bit."""
+    rng = np.random.default_rng(3)
+    data = rng.normal(size=(200, 36))
+    for j in range(1, 36):
+        data[:, j] += 0.7 * data[:, j - 1]
+    planner = ShardPlanner(
+        skeleton_threshold=0.2, max_block_size=6, partition_columns=18
+    )
+    plan = planner.plan(data)
+    assert plan.n_blocks >= 4
+    config = {"max_outer_iterations": 3, "max_inner_iterations": 40}
+
+    def stitched(n_workers, entry, wave_blocks):
+        executor = ShardExecutor(
+            solver="least_sparse",
+            config=config,
+            n_workers=n_workers,
+            edge_threshold=0.1,
+            wave_blocks=wave_blocks,
+            boundary_rounds=1,
+        )
+        if entry == "run":
+            result = executor.run(data, plan, seed=0, planner=planner)
+        else:
+            result = executor.run_stream(data, planner, seed=0)
+        assert result.complete
+        assert result.n_waves == 0
+        return sp.csr_matrix(result.weights)
+
+    reference = stitched(1, "run", None)
+    assert reference.nnz > 0
+    for n_workers in (1, 2):
+        for entry in ("run", "run_stream"):
+            for wave_blocks in (None, 4):
+                weights = stitched(n_workers, entry, wave_blocks)
+                case = (n_workers, entry, wave_blocks)
+                assert weights.shape == reference.shape, case
+                assert np.array_equal(weights.toarray(), reference.toarray()), case
 
 
 def test_scheduler_shards_large_windows_and_stitches_a_dag(er2_problem):

@@ -1,21 +1,17 @@
-"""Wave scheduling, hierarchical planning, and boundary re-solve.
+"""Gap accounting, hierarchical planning, and boundary re-solve.
 
-The wave-scheduled executor must be an *optimization*, not a semantic change:
-a wave-shipped pass produces the same stitched graph as one job per block,
-a hard-killed wave loses exactly its own members, and contract violations
-(an "ok" result with no weights) surface as anomalies instead of silently
-shrinking the graph.  Hierarchical planning must assemble the same kind of
-plan partition by partition, and a boundary re-solve round must recover
-cross-partition edges the partitioned first pass cannot see.
-
-Like the other shard concurrency suites, the preemption tests run the real
-engine with worker processes and are written to pass under both ``fork`` and
-``spawn`` start methods (module-level solver classes, picklable configs).
+Every block is its own job: when all of them fail the report still accounts
+each block and owned node, and contract violations (an "ok" result with no
+weights) surface as anomalies instead of silently shrinking the graph.
+Hierarchical planning must assemble the same kind of plan partition by
+partition, and a boundary re-solve round must recover cross-partition edges
+the partitioned first pass cannot see.  (A hard-killed block losing only
+itself, and dispatch-independent stitched weights, are pinned in
+``test_shard_streaming.py``.)
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,42 +32,11 @@ from repro.shard.executor import (
 from repro.shard.planner import ShardBlock, ShardPlan, ShardPlanner, _core_affinities
 from repro.shard.stitcher import StitchedGraph, Stitcher, StitchReport
 
-# Concurrency suite: abort with tracebacks instead of hanging CI on deadlock.
+# Abort with tracebacks instead of hanging CI.
 pytestmark = pytest.mark.timeout(180)
-
-#: Hard deadline generous enough for a spawn-started worker to import numpy
-#: and solve the instant blocks, yet short against the hanging solver's sleep.
-DEADLINE = 4.0
 
 
 # -- helper solvers (module level so spawn can pickle them) --------------------
-
-
-@dataclass(frozen=True)
-class _SizeHangConfig:
-    """Config of the size-triggered hanging solver (picklable for spawn)."""
-
-    hang_at_least: int = 10_000
-    duration: float = 60.0
-
-
-class _SizeHangSolver:
-    """Hangs on blocks with >= ``hang_at_least`` columns, else solves a chain."""
-
-    def __init__(self, config: _SizeHangConfig):
-        self.config = config
-
-    def fit(self, data, seed=None):
-        """Return a chain graph instantly, or sleep far past any deadline."""
-        d = data.shape[1]
-        if d >= self.config.hang_at_least:
-            time.sleep(self.config.duration)
-        weights = np.zeros((d, d))
-        for i in range(d - 1):
-            weights[i, i + 1] = 1.0
-        return LEASTResult(
-            weights=weights, constraint_value=0.0, converged=True, n_outer_iterations=1
-        )
 
 
 @dataclass(frozen=True)
@@ -111,13 +76,6 @@ class _NoWeightsSolver:
 
 
 @pytest.fixture
-def hang_solver():
-    register_solver("wave-hang", _SizeHangSolver, _SizeHangConfig, overwrite=True)
-    yield "wave-hang"
-    unregister_solver("wave-hang")
-
-
-@pytest.fixture
 def boom_solver():
     register_solver("wave-boom", _AlwaysBoomSolver, _AlwaysBoomConfig, overwrite=True)
     yield "wave-boom"
@@ -146,76 +104,12 @@ def _dense(weights) -> np.ndarray:
     return weights.toarray() if sp.issparse(weights) else np.asarray(weights)
 
 
-# -- wave scheduling -----------------------------------------------------------
+# -- gap accounting ------------------------------------------------------------
 
 
-def test_wave_pass_matches_per_block_pass():
-    """Waves are pure batching: same blocks, same seeds, same stitched graph."""
-    data = _chain_data(30)
-    planner = ShardPlanner(skeleton_threshold=0.2, max_block_size=8)
-    config = {"max_outer_iterations": 3, "max_inner_iterations": 30}
-    plain = solve_sharded(data, planner, ShardExecutor(config=config), seed=0)
-    waved = solve_sharded(
-        data, planner, ShardExecutor(config=config, wave_blocks=3), seed=0
-    )
-
-    assert waved.n_waves >= 1
-    assert plain.n_waves == 0
-    assert waved.complete and plain.complete
-    np.testing.assert_allclose(_dense(waved.weights), _dense(plain.weights))
-    # Member results keep per-block identities for the report.
-    assert [r.job_id for r in waved.block_results] == [
-        r.job_id for r in plain.block_results
-    ]
-
-
-def test_wave_executor_rejects_bad_parameters():
-    with pytest.raises(ValidationError):
-        ShardExecutor(wave_blocks=0)
+def test_executor_rejects_negative_boundary_rounds():
     with pytest.raises(ValidationError):
         ShardExecutor(boundary_rounds=-1)
-
-
-def test_crashed_wave_loses_only_its_own_blocks(hang_solver):
-    """A hard-killed wave costs its members; other waves' blocks survive."""
-    rng = np.random.default_rng(0)
-    data = rng.normal(size=(40, 16))
-    plan = ShardPlan(
-        n_nodes=16,
-        blocks=[
-            ShardBlock(index=0, core=(0, 1, 2)),
-            ShardBlock(index=1, core=(3, 4, 5)),
-            ShardBlock(index=2, core=tuple(range(6, 14))),  # 8 cols -> hangs
-            ShardBlock(index=3, core=(14, 15)),
-        ],
-    )
-    executor = ShardExecutor(
-        solver=hang_solver,
-        config={"hang_at_least": 8, "duration": 60.0},
-        wave_blocks=2,
-        n_workers=2,
-        timeout=DEADLINE,
-        preempt_policy="fail",
-    )
-    result = executor.run(data, plan, seed=0)
-
-    # Wave 1 (blocks 2 and 3) was SIGKILLed; wave 0 (blocks 0 and 1) is fine.
-    assert [r.status for r in result.block_results] == [
-        "ok",
-        "ok",
-        "preempted",
-        "preempted",
-    ]
-    assert result.missing_nodes == list(range(6, 16))
-    assert not result.complete
-    assert is_dag(result.weights)
-    dense = _dense(result.weights)
-    assert np.count_nonzero(dense[:, 6:]) == 0
-    assert np.count_nonzero(dense[6:, :]) == 0
-    # The synthesized member results carry the wave-level preemption reason.
-    preempted = result.block_results[2]
-    assert preempted.job_id == "block-002"
-    assert preempted.error is not None
 
 
 def test_all_blocks_failed_yields_empty_dag_and_complete_gap_report(boom_solver):
@@ -229,7 +123,7 @@ def test_all_blocks_failed_yields_empty_dag_and_complete_gap_report(boom_solver)
             for i in range(4)
         ],
     )
-    executor = ShardExecutor(solver=boom_solver, wave_blocks=2)
+    executor = ShardExecutor(solver=boom_solver)
     result = executor.run(data, plan, seed=0)
 
     assert result.n_blocks_ok == 0
@@ -332,10 +226,10 @@ def test_overlapped_run_stream_matches_plan_first_run():
         skeleton_threshold=0.2, max_block_size=6, partition_columns=18
     )
     config = {"max_outer_iterations": 3, "max_inner_iterations": 30}
-    executor = ShardExecutor(config=config, wave_blocks=2)
+    executor = ShardExecutor(config=config)
     streamed = executor.run_stream(data, planner, seed=0)
     plan = planner.plan(data)
-    planned = ShardExecutor(config=config, wave_blocks=2).run(data, plan, seed=0)
+    planned = ShardExecutor(config=config).run(data, plan, seed=0)
 
     assert streamed.complete and planned.complete
     assert streamed.plan.n_blocks == planned.plan.n_blocks
@@ -348,13 +242,14 @@ def test_solve_sharded_routes_partitioned_planners_through_run_stream():
         skeleton_threshold=0.2, max_block_size=6, partition_columns=12
     )
     executor = ShardExecutor(
-        config={"max_outer_iterations": 3, "max_inner_iterations": 30},
-        wave_blocks=2,
+        config={"max_outer_iterations": 3, "max_inner_iterations": 30}
     )
     result = solve_sharded(data, planner, executor, seed=0)
     assert result.complete
     assert result.plan.n_nodes == 24
-    assert result.n_waves >= 1
+    assert [r.job_id for r in result.block_results] == [
+        f"block-{k:03d}" for k in range(result.plan.n_blocks)
+    ]
 
 
 # -- vectorized halo ranking ---------------------------------------------------
@@ -418,7 +313,6 @@ def test_boundary_resolve_strictly_increases_recall():
     executor = ShardExecutor(
         config={"max_outer_iterations": 4, "max_inner_iterations": 40},
         edge_threshold=0.15,
-        wave_blocks=3,
         boundary_rounds=1,
     )
     result = solve_sharded(data, planner, executor, seed=0)
