@@ -2,11 +2,19 @@
 
 Regenerates ``BENCH_backend.json``: the same seeded ER-2 problems at
 d ∈ {128, 512, 2048} solved twice, once with the library's ``LEAST`` (its
-spectral bound, loss and Adam step run on reused buffers) and once with
-``OracleLEAST`` from ``tests/_dense_oracle.py``, the allocate-per-call loop
-it replaced.  Both arms run under ``inner_convergence_tol = 0.0`` so they
+loss and Adam step run on reused buffers) and once with ``OracleLEAST``
+from ``tests/_dense_oracle.py``, the allocate-per-call loop it replaced.
+Both arms compute the spectral bound from matrix-vector products with
+``S = W ∘ W``.  Both run under ``inner_convergence_tol = 0.0`` so they
 execute the *same number of inner iterations* and the wall-clock ratio
 (oracle over library) is a pure per-iteration cost comparison.
+
+Every row also times the dense bound per call on a dense random ``W``:
+``bound_speedup`` is the seconds of the oracle's level-stack form
+(``direct_bound_value_and_gradient``, which builds every ``S^(j)``) over the
+library's.  ``bound_parity_ok`` checks in-run that the two forms agree on
+that ``W`` and on the learned weights (value and gradient to rel 1e-12).
+Both are gated.
 
 Parity is asserted in-run at every size: weights, run logs and iteration
 counts must be bitwise equal.  ``benchmarks/baselines.json`` gates
@@ -52,7 +60,7 @@ if str(_REPO_ROOT / "tests") not in sys.path:  # the dense oracle lives there
 import numpy as np
 
 from benchmarks.helpers import append_bench_history, make_problem, print_table
-from _dense_oracle import DirectOracleLEAST, OracleLEAST
+from _dense_oracle import DirectOracleLEAST, OracleLEAST, direct_bound_value_and_gradient
 from repro.core.acyclicity import SpectralAcyclicityBound
 from repro.core.least import LEAST, LEASTConfig
 from repro.core.losses import LeastSquaresLoss, full_batch_moments
@@ -95,6 +103,12 @@ SPARSE_CONFIG = {
 GRAM_REL_TOL = 1e-10
 #: Calls timed per size for the per-call bound seconds (median).
 N_BOUND_CALLS = 15
+#: Calls timed per arm for the dense per-call bound seconds (median); the
+#: level-stack form takes about 1.4 s per call at d = 2048.
+N_DENSE_BOUND_CALLS = 5
+#: Tolerance of the per-call mat-vec-vs-level-stack bound check (value
+#: relative to itself, gradient relative to its largest entry).
+BOUND_REL_TOL = 1e-12
 #: Timed runs per arm (best-of); the 2048 row runs once.
 N_REPEATS = 2
 OUTPUT_PATH = _REPO_ROOT / "BENCH_backend.json"
@@ -157,7 +171,11 @@ def run_size(n_nodes: int, scenario: dict) -> dict:
         "objective_rel_diff": objective_rel_diff,
         "edge_sets_equal": edge_sets_equal,
         "bitwise_equal": bitwise_equal,
+        **_dense_bound_timing(config, least.weights),
     }
+    assert row["bound_parity_ok"], (
+        f"d={n_nodes}: mat-vec bound drifted from the level stack (rel {row['bound_max_rel_diff']:g})"
+    )
     if moments is not None:
         _, direct_seconds = _solve(DirectOracleLEAST, data, config, seed=7)
         gram_max_rel_diff = _gram_max_rel_diff(data, moments, config, least.weights)
@@ -171,6 +189,49 @@ def run_size(n_nodes: int, scenario: dict) -> dict:
             f"d={n_nodes}: Gram-form loss drifted from the direct form (rel {gram_max_rel_diff:g})"
         )
     return row
+
+
+def _median_seconds(call, repeats: int) -> float:
+    seconds = []
+    for _ in range(repeats):
+        with Timer() as timer:
+            call()
+        seconds.append(timer.elapsed)
+    return float(np.median(seconds))
+
+
+def _dense_bound_timing(config: LEASTConfig, learned: np.ndarray) -> dict:
+    """Per-call dense bound seconds, library against the level-stack form.
+
+    Timed on a dense random ``W`` (every entry non-zero, the paper-dense
+    case at threshold 0).  Parity is checked on it and on the learned
+    weights: value relative to itself, gradient relative to its largest entry.
+    """
+    d = learned.shape[0]
+    bound = SpectralAcyclicityBound(k=config.k, alpha=config.alpha)
+    random = np.random.default_rng(1).normal(scale=1.0 / np.sqrt(d), size=(d, d))
+    np.fill_diagonal(random, 0.0)
+    worst = 0.0
+    for weights in (random, learned):
+        value, gradient = bound.value_and_gradient(weights)
+        direct_value, direct_gradient = direct_bound_value_and_gradient(weights, config.k, config.alpha)
+        worst = max(
+            worst,
+            abs(value - direct_value) / max(abs(direct_value), 1e-300),
+            float(np.abs(gradient - direct_gradient).max())
+            / max(float(np.abs(direct_gradient).max()), 1e-300),
+        )
+    library_seconds = _median_seconds(lambda: bound.value_and_gradient(random), N_DENSE_BOUND_CALLS)
+    direct_seconds = _median_seconds(
+        lambda: direct_bound_value_and_gradient(random, config.k, config.alpha), N_DENSE_BOUND_CALLS
+    )
+    return {
+        "bound_library_seconds": library_seconds,
+        "bound_direct_seconds": direct_seconds,
+        "bound_speedup": direct_seconds / max(library_seconds, 1e-9),
+        "bound_max_rel_diff": worst,
+        "bound_parity_ok": bool(worst <= BOUND_REL_TOL),
+    }
 
 
 def _gram_max_rel_diff(
@@ -272,6 +333,10 @@ def main() -> dict:
         "speedup_at_512": per_size["d512"]["speedup"],
         "speedup_at_2048": per_size["d2048"]["speedup"],
         "parity_ok": parity_ok,
+        "bound_speedup_at_128": per_size["d128"]["bound_speedup"],
+        "bound_speedup_at_512": per_size["d512"]["bound_speedup"],
+        "bound_speedup_at_2048": per_size["d2048"]["bound_speedup"],
+        "bound_parity_ok": all(row["bound_parity_ok"] for row in per_size.values()),
         "gram_speedup_at_128": per_size["d128"]["gram_speedup"],
         "gram_parity_ok": bool(gram_rows) and all(row["gram_parity_ok"] for row in gram_rows),
         "sparse_config": dict(SPARSE_CONFIG),
@@ -281,7 +346,7 @@ def main() -> dict:
 
     print_table(
         "repro.core.least vs the pre-buffer oracle loop",
-        ["d", "loss", "inner iters", "oracle", "least", "speedup", "max |dW|", "gram speedup"],
+        ["d", "loss", "inner iters", "oracle", "least", "speedup", "max |dW|", "gram speedup", "bound speedup"],
         [
             [
                 row["n_nodes"],
@@ -292,6 +357,7 @@ def main() -> dict:
                 f"{row['speedup']:.2f}x",
                 f"{row['max_abs_diff']:.2e}",
                 f"{row['gram_speedup']:.2f}x" if "gram_speedup" in row else "-",
+                f"{row['bound_speedup']:.2f}x",
             ]
             for row in per_size.values()
         ],

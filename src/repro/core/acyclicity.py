@@ -17,17 +17,23 @@ non-zeros — near linear in ``d`` for sparse DAGs, versus the ``O(d^3)`` /
 ``O(d^2)`` cost of the matrix-exponential constraint used by NOTEARS.
 
 The gradient is obtained by reverse-mode differentiation of the iteration
-(Lemmas 3–5 of the paper).  Following Lemma 5, all intermediate gradient
-matrices are masked to the support of ``W``: entries outside the support never
-influence ``∇_W δ = 2 ∇_S δ ∘ W``, so the backward pass also stays sparse.
+(Lemmas 3–5 of the paper).  Following Lemma 5, entries outside the support
+of ``W`` never influence ``∇_W δ = 2 ∇_S δ ∘ W``, so the sparse backward pass
+stays on the support.
 
 Two code paths are provided with identical semantics: a dense numpy path
 (used by :class:`repro.core.least.LEAST`, the analog of the paper's LEAST-TF)
 and a sparse path (used by :class:`repro.core.least_sparse.SparseLEAST`, the
-analog of LEAST-SP).  The dense path writes its ``S^(j)`` matrices into one
-``(k+1, d, d)`` stack that a :class:`SpectralAcyclicityBound` keeps and
-reuses while ``d`` is unchanged; it returns a freshly allocated gradient,
-which the caller may modify.  Every ``S^(j)`` has the support of ``W``, so
+analog of LEAST-SP).  The dense path never forms ``S^(j)``: each level is a
+diagonal similarity ``S^(j) = Diag(ι_j) S Diag(β_j)`` of ``S``, with
+``β_{j+1} = β_j ∘ b^(j)`` and ``ι_{j+1} = ι_j ∘ 1/b^(j)`` (zero where
+``b^(j)`` is), so its sums are two matrix-vector products with ``S``.  Each
+``b^(j)`` is divided by a per-level constant first, which cancels in
+``S^(j)`` and keeps ``β`` and ``ι`` in range at any scale of ``W``.  Reverse
+mode runs on these length-``d`` vectors, and ``∇_S δ`` is a sum of
+``2(k+1)`` rank-one terms, one ``d × 2(k+1) × d`` product: an ``O(k·d)``
+workspace besides ``S`` and the fresh gradient, which the caller may modify.
+Nothing is kept between calls.  Every ``S^(j)`` has the support of ``W``, so
 the sparse path builds no matrix per round: both passes run on flat
 ``nnz``-length arrays over one fixed ``(indices, indptr)`` pair, with row
 sums from ``np.add.reduceat`` and column sums from ``np.bincount`` (what
@@ -113,68 +119,57 @@ def _xy_vectors(
 
 
 # ---------------------------------------------------------------------------
-# Dense forward / backward over one reused level stack
+# Dense forward / backward on matrix-vector products with S = W ∘ W
 # ---------------------------------------------------------------------------
 
 
-def _dense_bound(dense: np.ndarray, k: int, alpha: float, stack: np.ndarray, with_gradient: bool):
+def _dense_bound(dense: np.ndarray, k: int, alpha: float, with_gradient: bool):
     """Bound and ``∇_W δ`` (None unless ``with_gradient``) of a dense matrix.
 
-    ``stack`` is a ``(k+1, d, d)`` workspace whose level ``j`` receives
-    ``S^(j)``.  The backward pass reuses the forward sums and balances, and
-    the top level, whose entries it never reads, serves as its scratch.  Every
-    product keeps the operand order of the freshly allocating formulas it
-    replaces, so the results are bitwise the same.
+    The sums of ``S^(j) = Diag(ι_j) S Diag(β_j)`` are ``r_j = ι_j ∘ (S β_j)``
+    and ``c_j = β_j ∘ (Sᵀ ι_j)``.  Each ``b^(j)`` is divided by the geometric
+    mean of its extreme positive entries before it enters ``β`` and ``ι``.
     """
     d = dense.shape[0]
-    row_sums = np.empty((k + 1, d))
-    col_sums = np.empty((k + 1, d))
-    balances = np.empty((k + 1, d))
-    np.multiply(dense, dense, out=stack[0])
+    s = np.multiply(dense, dense, out=np.empty((d, d)))
+    betas, iotas, levels, steps = [np.ones(d)], [np.ones(d)], [], []
     for j in range(k + 1):
-        current = stack[j]
-        current.sum(axis=1, out=row_sums[j])
-        current.sum(axis=0, out=col_sums[j])
-        np.multiply(
-            _safe_power(row_sums[j], alpha), _safe_power(col_sums[j], 1.0 - alpha), out=balances[j]
-        )
+        s_beta, st_iota = s @ betas[j], iotas[j] @ s
+        row_sums, col_sums = iotas[j] * s_beta, betas[j] * st_iota
+        balance = _safe_power(row_sums, alpha) * _safe_power(col_sums, 1.0 - alpha)
+        levels.append((s_beta, st_iota, row_sums, col_sums))
         if j < k:
-            inverse_balance = _safe_divide(np.ones(d), balances[j])
-            np.multiply(inverse_balance[:, None], current, out=stack[j + 1])
-            stack[j + 1] *= balances[j][None, :]
-    bound = float(balances[k].sum())
+            positive = balance[balance > 0]
+            scale = float(np.sqrt(positive.max()) * np.sqrt(positive.min())) if positive.size else 1.0
+            scaled = balance / scale
+            inverse = _safe_divide(np.ones(d), scaled)
+            betas.append(betas[j] * scaled)
+            iotas.append(iotas[j] * inverse)
+            steps.append((scale, scaled, inverse))
+    bound = float(balance.sum())
     if not with_gradient:
         return bound, None
 
-    # Lemmas 3-5: accumulate only on the support of W, which is exact because
-    # off-support entries are multiplied by W = 0 when forming ∇_W δ.
-    mask = dense != 0
-    scratch = stack[k]
-    x_k, y_k = _xy_vectors(row_sums[k], col_sums[k], alpha)
-    gradient = x_k[:, None] + y_k[None, :]
-    gradient *= mask
-    for j in range(k - 1, -1, -1):
-        previous, balance = stack[j], balances[j]
-        x_prev, y_prev = _xy_vectors(row_sums[j], col_sums[j], alpha)
-        inverse_balance = _safe_divide(np.ones(d), balance)
-        inverse_balance_sq = _safe_divide(np.ones(d), balance**2)
-
-        # z[i]: total effect of b^(j)[i] on the bound through S^(j+1) (Eq. 7).
-        np.multiply(gradient, previous, out=scratch)
-        scratch *= balance[None, :]
-        z = -scratch.sum(axis=1) * inverse_balance_sq
-        np.multiply(inverse_balance[:, None], gradient, out=scratch)
-        scratch *= previous
-        z += scratch.sum(axis=0)
-
-        gradient *= inverse_balance[:, None]
-        gradient *= balance[None, :]
-        np.multiply((x_prev * z)[:, None], mask, out=scratch)
-        gradient += scratch
-        np.multiply((y_prev * z)[None, :], mask, out=scratch)
-        gradient += scratch
-        gradient *= mask
-    gradient *= 2.0
+    # Reverse mode over the length-d vectors; the scales are constants.
+    # ∇_S δ = Σ_j u_j β_jᵀ + ι_j v_jᵀ is one d × 2(k+1) × d product.
+    left, right = [], []
+    beta_bar, iota_bar, balance_bar = np.zeros(d), np.zeros(d), np.ones(d)
+    for j in range(k, -1, -1):
+        s_beta, st_iota, row_sums, col_sums = levels[j]
+        if j < k:
+            scale, scaled, inverse = steps[j]
+            balance_bar = (beta_bar * betas[j] - iota_bar * iotas[j + 1] * inverse) / scale
+            beta_bar, iota_bar = beta_bar * scaled, iota_bar * inverse
+        x, y = _xy_vectors(row_sums, col_sums, alpha)
+        row_bar, col_bar = x * balance_bar, y * balance_bar
+        u, v = row_bar * iotas[j], col_bar * betas[j]
+        left += [u, iotas[j]]
+        right += [betas[j], v]
+        if j > 0:
+            beta_bar += u @ s + col_bar * st_iota
+            iota_bar += row_bar * s_beta + s @ v
+    # Off the support of W the product is multiplied by W = 0 (Lemma 5).
+    gradient = (2.0 * np.array(left)).T @ np.array(right)
     gradient *= dense
     return bound, gradient
 
@@ -281,9 +276,6 @@ class SpectralAcyclicityBound:
     alpha:
         Balancing factor in ``[0, 1]`` between row sums and column sums
         (paper default 0.9).
-
-    Dense calls on one instance share its level stack, so an instance must
-    not be used by two threads at the same time.
     """
 
     k: int = 5
@@ -293,21 +285,13 @@ class SpectralAcyclicityBound:
         if self.k < 0:
             raise ValidationError(f"k must be >= 0, got {self.k}")
         check_unit_interval(self.alpha, "alpha")
-        # The dense passes' (k+1, d, d) level stack, reused while d is unchanged.
-        object.__setattr__(self, "_stack", np.empty((self.k + 1, 0, 0)))
-
-    def _dense(self, weights: np.ndarray, with_gradient: bool):
-        d = weights.shape[0]
-        if self._stack.shape[1:] != (d, d):
-            object.__setattr__(self, "_stack", np.empty((self.k + 1, d, d)))
-        return _dense_bound(weights, self.k, self.alpha, self._stack, with_gradient)
 
     def value(self, weights) -> float:
         """Return the bound ``δ^(k)(W)``; zero iff (numerically) acyclic."""
         weights = check_square_matrix(weights, "weights")
         if sp.issparse(weights):
             return _sparse_bound(weights, self.k, self.alpha, with_gradient=False)[0]
-        return self._dense(weights, with_gradient=False)[0]
+        return _dense_bound(weights, self.k, self.alpha, with_gradient=False)[0]
 
     def gradient(self, weights):
         """Return ``∇_W δ^(k)(W)`` with the same storage type as ``weights``."""
@@ -318,7 +302,7 @@ class SpectralAcyclicityBound:
         weights = check_square_matrix(weights, "weights")
         if sp.issparse(weights):
             return _sparse_bound(weights, self.k, self.alpha, with_gradient=True)
-        return self._dense(weights, with_gradient=True)
+        return _dense_bound(weights, self.k, self.alpha, with_gradient=True)
 
     def __call__(self, weights) -> float:
         return self.value(weights)

@@ -55,8 +55,10 @@ __all__ = [
 #: bumps it so that a persisted :class:`DiskCache` stops serving results the
 #: current code would not compute.  Version 2: full-batch dense LEAST takes
 #: its loss from the moments of the samples (see
-#: :func:`repro.core.losses.full_batch_moments`).
-SOLVER_NUMERICS_VERSION = 2
+#: :func:`repro.core.losses.full_batch_moments`).  Version 3: the dense
+#: spectral bound sums its levels through matrix-vector products with
+#: ``W ∘ W`` instead of ``d × d`` level matrices.
+SOLVER_NUMERICS_VERSION = 3
 
 
 def _update_with_array(digest: "hashlib._Hash", array: np.ndarray) -> None:

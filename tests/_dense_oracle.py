@@ -1,14 +1,20 @@
 """Reference dense LEAST bound, loss, Adam step and inner loop.
 
-This is the dense spectral bound, the least-squares loss, the Adam update
-and ``LEAST._inner`` as they were before the library moved the dense loop
-onto reused buffers: the forward pass keeps a list of freshly allocated
-``S^(j)`` matrices, the backward pass allocates every intermediate, Adam
+This is the least-squares loss, the Adam update and ``LEAST._inner`` as they
+were before the library moved the dense loop onto reused buffers: Adam
 rebinds new moment arrays each step, and the loop evaluates the bound once
 before it starts.  It keeps its own copies of the numeric helpers, so a
 change to the library's cannot hide on both sides.  The parity tests and
 ``benchmarks/bench_backend_speed.py`` compare the library against it; it is
 not collected by pytest.
+
+The bound has two forms.  The direct form (``direct_bound_*``) builds every
+level ``S^(j)`` as a freshly allocated ``d × d`` matrix and runs the
+backward pass on those matrices.  The mat-vec form (``bound_*``) never
+forms ``S^(j) = Diag(ι_j) S Diag(β_j)``: it keeps the diagonals and reaches
+``S`` only through matrix-vector products, as the library does.
+:class:`OracleLEAST` uses the mat-vec form and
+:class:`DirectBoundOracleLEAST` the direct one.
 
 The loss has the library's two forms, each written out naively: the direct
 form on the batch, and the Gram form on the column means ``μ`` and the
@@ -97,20 +103,93 @@ def backward_dense(
     return gradient
 
 
-def bound_value(weights: np.ndarray, k: int, alpha: float) -> float:
-    """``δ^(k)(W)`` of a dense matrix."""
+def direct_bound_value(weights: np.ndarray, k: int, alpha: float) -> float:
+    """``δ^(k)(W)`` from the level stack ``S^(0), ..., S^(k)``."""
     s0 = np.asarray(weights, dtype=float) ** 2
     return forward_dense(s0, k, alpha)[0]
 
 
-def bound_value_and_gradient(weights: np.ndarray, k: int, alpha: float) -> tuple[float, np.ndarray]:
-    """``(δ^(k)(W), ∇_W δ^(k)(W))`` of a dense matrix."""
+def direct_bound_value_and_gradient(weights: np.ndarray, k: int, alpha: float) -> tuple[float, np.ndarray]:
+    """``(δ^(k)(W), ∇_W δ^(k)(W))`` from the level stack the library used before."""
     dense = np.asarray(weights, dtype=float)
     s0 = dense**2
     bound, matrices, balances = forward_dense(s0, k, alpha)
     mask = (dense != 0).astype(float)
     grad_s = backward_dense(matrices, balances, mask, alpha)
     return bound, 2.0 * grad_s * dense
+
+
+def forward_similarity(s: np.ndarray, k: int, alpha: float) -> tuple[float, list[dict]]:
+    """Forward iteration on ``S^(j) = Diag(ι_j) S Diag(β_j)``: mat-vecs only.
+
+    Each level records ``β_j``, ``ι_j``, ``S β_j``, ``Sᵀ ι_j`` and its sums;
+    every level but the last also records the scale ``b^(j)`` is divided by
+    (the geometric mean of its extreme positive entries), the scaled ``b^(j)``
+    and its safe inverse.
+    """
+    d = s.shape[0]
+    beta, iota = np.ones(d), np.ones(d)
+    levels: list[dict] = []
+    for j in range(k + 1):
+        level = {"beta": beta, "iota": iota, "s_beta": s @ beta, "st_iota": iota @ s}
+        level["row_sums"] = iota * level["s_beta"]
+        level["col_sums"] = beta * level["st_iota"]
+        balance = _safe_power(level["row_sums"], alpha) * _safe_power(level["col_sums"], 1.0 - alpha)
+        levels.append(level)
+        if j < k:
+            positive = balance[balance > 0]
+            scale = float(np.sqrt(positive.max()) * np.sqrt(positive.min())) if positive.size else 1.0
+            level["scale"] = scale
+            level["scaled"] = balance / scale
+            level["inverse"] = _safe_divide(np.ones(d), level["scaled"])
+            beta = beta * level["scaled"]
+            iota = iota * level["inverse"]
+    return float(balance.sum()), levels
+
+
+def backward_similarity(s: np.ndarray, levels: list[dict], alpha: float) -> np.ndarray:
+    """``∇_S δ`` of :func:`forward_similarity`: a sum of rank-one terms.
+
+    ``r_j = ι_j ∘ (S β_j)`` contributes ``(r̄_j ∘ ι_j) β_jᵀ`` and
+    ``c_j = β_j ∘ (Sᵀ ι_j)`` contributes ``ι_j (c̄_j ∘ β_j)ᵀ``; the scales are
+    constants.
+    """
+    d = s.shape[0]
+    k = len(levels) - 1
+    left: list[np.ndarray] = []
+    right: list[np.ndarray] = []
+    beta_bar, iota_bar, balance_bar = np.zeros(d), np.zeros(d), np.ones(d)
+    for j in range(k, -1, -1):
+        level = levels[j]
+        if j < k:
+            balance_bar = (
+                beta_bar * level["beta"] - iota_bar * levels[j + 1]["iota"] * level["inverse"]
+            ) / level["scale"]
+            beta_bar = beta_bar * level["scaled"]
+            iota_bar = iota_bar * level["inverse"]
+        x, y = _xy_vectors(level["row_sums"], level["col_sums"], alpha)
+        row_bar, col_bar = x * balance_bar, y * balance_bar
+        u, v = row_bar * level["iota"], col_bar * level["beta"]
+        left += [u, level["iota"]]
+        right += [level["beta"], v]
+        if j > 0:
+            beta_bar = beta_bar + (u @ s + col_bar * level["st_iota"])
+            iota_bar = iota_bar + (row_bar * level["s_beta"] + s @ v)
+    return np.array(left).T @ np.array(right)
+
+
+def bound_value(weights: np.ndarray, k: int, alpha: float) -> float:
+    """``δ^(k)(W)`` of a dense matrix, from mat-vecs with ``S = W ∘ W``."""
+    dense = np.ascontiguousarray(weights, dtype=float)
+    return forward_similarity(dense * dense, k, alpha)[0]
+
+
+def bound_value_and_gradient(weights: np.ndarray, k: int, alpha: float) -> tuple[float, np.ndarray]:
+    """``(δ^(k)(W), ∇_W δ^(k)(W))`` of a dense matrix, from mat-vecs with ``S``."""
+    dense = np.ascontiguousarray(weights, dtype=float)
+    s = dense * dense
+    bound, levels = forward_similarity(s, k, alpha)
+    return bound, 2.0 * backward_similarity(s, levels, alpha) * dense
 
 
 def loss_value_and_gradient(
@@ -184,8 +263,11 @@ class OracleLEAST(LEAST):
     """``LEAST`` whose inner loop, bound, loss and Adam are the reference versions.
 
     The ``moments`` that ``LEAST.fit`` passes in are ignored: the loop
-    builds its own.
+    builds its own.  The bound is the mat-vec form, as in the library.
     """
+
+    bound_value = staticmethod(bound_value)
+    bound_value_and_gradient = staticmethod(bound_value_and_gradient)
 
     def _moments(self, data: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
         return loss_moments(data, self.config.batch_size)
@@ -196,7 +278,7 @@ class OracleLEAST(LEAST):
         optimizer = OracleAdam(learning_rate=config.learning_rate)
         previous_objective = np.inf
         objective = np.inf
-        constraint = bound_value(weights, config.k, config.alpha)
+        constraint = self.bound_value(weights, config.k, config.alpha)
 
         abs_scratch = np.empty_like(weights)
         threshold_mask = np.empty(weights.shape, dtype=bool)
@@ -204,7 +286,7 @@ class OracleLEAST(LEAST):
         steps = 0
         for steps in range(1, config.max_inner_iterations + 1):
             batch = sample_batch(data, config.batch_size, rng)
-            constraint, constraint_gradient = bound_value_and_gradient(weights, config.k, config.alpha)
+            constraint, constraint_gradient = self.bound_value_and_gradient(weights, config.k, config.alpha)
             if own_moments is None:
                 loss_value, loss_gradient = loss_value_and_gradient(weights, batch, config.l1_penalty)
             else:
@@ -231,7 +313,7 @@ class OracleLEAST(LEAST):
                     break
             previous_objective = objective
 
-        constraint = bound_value(weights, config.k, config.alpha)
+        constraint = self.bound_value(weights, config.k, config.alpha)
         return weights, constraint, float(objective), steps
 
 
@@ -240,3 +322,10 @@ class DirectOracleLEAST(OracleLEAST):
 
     def _moments(self, data: np.ndarray) -> None:
         return None
+
+
+class DirectBoundOracleLEAST(OracleLEAST):
+    """:class:`OracleLEAST` whose bound is the level-stack form."""
+
+    bound_value = staticmethod(direct_bound_value)
+    bound_value_and_gradient = staticmethod(direct_bound_value_and_gradient)

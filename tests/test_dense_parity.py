@@ -1,12 +1,12 @@
 """Buffered dense LEAST is bitwise equal to the allocate-per-call reference.
 
-The dense spectral bound reuses one ``(k+1, d, d)`` level stack across calls,
-the least-squares loss and the Adam step work in place where they can, and
+The least-squares loss and the Adam step work in place where they can, and
 ``LEAST._inner`` no longer evaluates the bound before its loop.  These tests
 pin every piece against the reference implementation in ``_dense_oracle``
-(the code it replaced): values, gradients and updates must be *equal*, not
-close, and a whole fit must learn the same weights, run log, history and
-iteration counts bit for bit.
+(the code it replaced, and its own copy of the mat-vec spectral bound):
+values, gradients and updates must be *equal*, not close, and a whole fit
+must learn the same weights, run log, history and iteration counts bit for
+bit.  ``test_bound_forms`` pins the bound against its level-stack form.
 """
 
 from __future__ import annotations

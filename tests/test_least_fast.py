@@ -1,6 +1,6 @@
 """The buffered dense LEAST loop behind the ``"least"`` backend.
 
-``"least"`` runs the buffered inner loop (a reused bound level stack, an
+``"least"`` runs the buffered inner loop (a mat-vec spectral bound, an
 in-place loss and Adam step).  These tests drive it through the backend
 factory: deadline hooks fire once per outer iteration, fits agree bit for
 bit with the allocate-per-call reference in ``_dense_oracle``, and the
