@@ -30,13 +30,17 @@ samples on every call: ``gram_speedup`` is its time over the library's
 in-run that the two forms agree per call (value and gradient to rel 1e-10)
 as ``gram_parity_ok``.  Both are gated.
 
-The ``sparse`` rows time LEAST-SP (``"least_sparse"``) at d ∈ {1024, 4096}
-on a per-node correlation support: the support's ``nnz``, seconds per inner
-iteration of a fixed-budget solve, and seconds per call of the spectral
-bound with its gradient.  Each row also checks, in-run, that the sparse
-bound matches the dense bound on the densified support (value to rel 1e-12,
-gradient to atol 1e-9); ``sparse_parity_ok`` is gated.  The d = 4096 check
-holds a handful of dense ``d × d`` float arrays at once (about 1.5 GB).
+The ``sparse`` rows time LEAST-SP (``"least_sparse"``) at d ∈ {64, 1024,
+4096} on a per-node correlation support: the support's ``nnz``, seconds per
+inner iteration of a fixed-budget solve, and seconds per call of the
+spectral bound with its gradient.  The d = 64 row is a shard block: at that
+size an inner iteration costs numpy and scipy call overhead more than
+arithmetic, and with n = 320 > B = 256 every batch is sampled.  Each row
+also checks, in-run, that the sparse bound matches the dense bound on the
+densified support (value to rel 1e-12, gradient to atol 1e-9);
+``sparse_parity_ok`` is gated, and so is the d = 64 row's
+``seconds_per_inner_iteration``.  The d = 4096 check holds a handful of
+dense ``d × d`` float arrays at once (about 1.5 GB).
 
 Run as a script (``python benchmarks/bench_backend_speed.py``) or through
 pytest (``pytest benchmarks/bench_backend_speed.py -s``).
@@ -87,6 +91,7 @@ BASE_CONFIG = {
 #: ``threshold = 0`` keeps the support (and so ``nnz``) fixed for the whole
 #: solve, and ``inner_convergence_tol = 0`` runs every inner iteration.
 SPARSE_SIZES = {
+    64: {"samples_per_node": 5, "inner": 400},
     1024: {"samples_per_node": 1, "inner": 40},
     4096: {"samples_per_node": 1, "inner": 20},
 }

@@ -41,6 +41,16 @@ scipy's ``csr.sum`` runs, so the results are bitwise those of per-round CSR
 matrices).  For canonical CSR input the gradient is built on the input's
 own ``indices``/``indptr``, stored zeros included, so ``gradient.data``
 lines up with ``weights.data`` entry for entry.
+
+At a shard block's size (``d`` ≈ 70, a few hundred stored entries) a call
+costs numpy call overhead more than arithmetic, so the sparse passes keep it
+low.  The forward pass keeps each level's gathered ``(1/b)[rows]`` and
+``b[indices]``, which the backward pass reuses instead of gathering them
+again.  Zero sums, subnormal balances and overflowing scales are part of the
+bound's domain, and both public entry points ignore every floating-point
+error for the length of the call: they enter one ``np.errstate`` each, for
+dense and CSR input alike, and no helper enters its own.  The caller's error
+state is restored on return.
 """
 
 from __future__ import annotations
@@ -55,6 +65,7 @@ from repro.utils.validation import check_positive, check_square_matrix, check_un
 
 __all__ = [
     "SpectralAcyclicityBound",
+    "check_solver_alpha",
     "spectral_bound",
     "spectral_bound_gradient",
     "spectral_bound_with_gradient",
@@ -88,15 +99,16 @@ def _safe_power(values: np.ndarray, exponent: float) -> np.ndarray:
     return np.power(values, exponent)
 
 
-def _safe_divide(numerator: np.ndarray, denominator: np.ndarray) -> np.ndarray:
+def _safe_divide(numerator, denominator: np.ndarray) -> np.ndarray:
     """Element-wise division returning 0 where the denominator is 0.
 
     Quotients that overflow to +/-inf (denominators that underflowed to a
     subnormal value) are also mapped to 0: they correspond to directions where
     the bound is effectively non-differentiable and any subgradient is valid.
+    Every floating-point error is already ignored by the public entry point
+    that called it, so no error state is entered here.
     """
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        out = numerator / denominator
+    out = numerator / denominator
     out[~np.isfinite(out)] = 0.0
     return out
 
@@ -142,7 +154,7 @@ def _dense_bound(dense: np.ndarray, k: int, alpha: float, with_gradient: bool):
             positive = balance[balance > 0]
             scale = float(np.sqrt(positive.max()) * np.sqrt(positive.min())) if positive.size else 1.0
             scaled = balance / scale
-            inverse = _safe_divide(np.ones(d), scaled)
+            inverse = _safe_divide(1.0, scaled)
             betas.append(betas[j] * scaled)
             iotas.append(iotas[j] * inverse)
             steps.append((scale, scaled, inverse))
@@ -183,7 +195,10 @@ def _forward_flat(s0: np.ndarray, indices: np.ndarray, indptr: np.ndarray, k: in
     """Forward pass of the bound on the data vector ``s0`` of a CSR support.
 
     Returns the bound, the row of every stored entry and, per level ``j``, the
-    tuple ``(S^(j) data, row sums, column sums, b^(j), 1 / b^(j))``.
+    tuple ``(S^(j) data, row sums, column sums, b^(j), (1 / b^(j))[rows],
+    b^(j)[indices])``.  The two gathers are made once here, where the next
+    level needs them, and reused by the backward pass; the last level has
+    none.
     """
     d = len(indptr) - 1
     counts = np.diff(indptr)
@@ -197,35 +212,41 @@ def _forward_flat(s0: np.ndarray, indices: np.ndarray, indptr: np.ndarray, k: in
             row_sums[nonempty] = np.add.reduceat(current, indptr[nonempty])
         col_sums = np.bincount(indices, weights=current, minlength=d)
         balance = _safe_power(row_sums, alpha) * _safe_power(col_sums, 1.0 - alpha)
-        inverse_balance = _safe_divide(np.ones_like(balance), balance)
-        levels.append((current, row_sums, col_sums, balance, inverse_balance))
-        if j < k:
-            current = current * inverse_balance[rows] * balance[indices]
+        if j == k:
+            levels.append((current, row_sums, col_sums, balance, None, None))
+            break
+        inverse_at_rows = _safe_divide(1.0, balance)[rows]
+        balance_at_cols = balance[indices]
+        levels.append((current, row_sums, col_sums, balance, inverse_at_rows, balance_at_cols))
+        current = current * inverse_at_rows * balance_at_cols
     return float(balance.sum()), rows, levels
 
 
 def _backward_flat(rows: np.ndarray, indices: np.ndarray, levels: list, alpha: float) -> np.ndarray:
     """Reverse-mode pass of :func:`_forward_flat`: ``∇_S δ`` on the support.
 
-    Reuses the forward pass's sums and balances; the gradient and every
-    ``S^(j)`` share the support, so Eq. (7) is element-wise on the data arrays.
+    Reuses the forward pass's sums, balances and gathered balances; the
+    gradient and every ``S^(j)`` share the support, so Eq. (7) is element-wise
+    on the data arrays.
     """
-    _, row_sums, col_sums, _, _ = levels[-1]
+    _, row_sums, col_sums, _, _, _ = levels[-1]
     d = len(row_sums)
     x_k, y_k = _xy_vectors(row_sums, col_sums, alpha)
     gradient = x_k[rows] + y_k[indices]
-    for previous, row_sums, col_sums, balance, inverse_balance in reversed(levels[:-1]):
+    for previous, row_sums, col_sums, balance, inverse_at_rows, balance_at_cols in reversed(
+        levels[:-1]
+    ):
         x_prev, y_prev = _xy_vectors(row_sums, col_sums, alpha)
-        inverse_balance_sq = _safe_divide(np.ones_like(balance), balance**2)
+        inverse_balance_sq = _safe_divide(1.0, balance**2)
         grad_times_prev = gradient * previous
 
         # z[i] = -Σ_q G[i,q] S[i,q] b[q] / b[i]^2 + Σ_p G[p,i] S[p,i] / b[p]
-        z = np.bincount(rows, weights=-grad_times_prev * balance[indices], minlength=d)
+        z = np.bincount(rows, weights=-grad_times_prev * balance_at_cols, minlength=d)
         z *= inverse_balance_sq
-        np.add.at(z, indices, grad_times_prev * inverse_balance[rows])
+        np.add.at(z, indices, grad_times_prev * inverse_at_rows)
 
         gradient = (
-            gradient * inverse_balance[rows] * balance[indices]
+            gradient * inverse_at_rows * balance_at_cols
             + (x_prev * z)[rows]
             + (y_prev * z)[indices]
         )
@@ -288,10 +309,7 @@ class SpectralAcyclicityBound:
 
     def value(self, weights) -> float:
         """Return the bound ``δ^(k)(W)``; zero iff (numerically) acyclic."""
-        weights = check_square_matrix(weights, "weights")
-        if sp.issparse(weights):
-            return _sparse_bound(weights, self.k, self.alpha, with_gradient=False)[0]
-        return _dense_bound(weights, self.k, self.alpha, with_gradient=False)[0]
+        return self._evaluate(weights, with_gradient=False)[0]
 
     def gradient(self, weights):
         """Return ``∇_W δ^(k)(W)`` with the same storage type as ``weights``."""
@@ -299,13 +317,35 @@ class SpectralAcyclicityBound:
 
     def value_and_gradient(self, weights):
         """Return ``(δ^(k)(W), ∇_W δ^(k)(W))`` sharing one forward pass."""
+        return self._evaluate(weights, with_gradient=True)
+
+    def _evaluate(self, weights, with_gradient: bool):
         weights = check_square_matrix(weights, "weights")
-        if sp.issparse(weights):
-            return _sparse_bound(weights, self.k, self.alpha, with_gradient=True)
-        return _dense_bound(weights, self.k, self.alpha, with_gradient=True)
+        evaluate = _sparse_bound if sp.issparse(weights) else _dense_bound
+        # The only error state of the call: at block size one per helper
+        # call cost about a third of a `_safe_divide`.
+        with np.errstate(all="ignore"):
+            return evaluate(weights, self.k, self.alpha, with_gradient)
 
     def __call__(self, weights) -> float:
         return self.value(weights)
+
+
+def check_solver_alpha(alpha: float) -> float:
+    """Validate the ``alpha`` a solver fits with: it must lie in ``(0, 1]``.
+
+    :class:`SpectralAcyclicityBound` accepts ``α = 0`` as a function, but a
+    fit cannot use it: on near-acyclic ``W`` the iteration diverges (``δ``
+    reaches about 1e221 at ``k = 5`` on a fitted 100-node ``W``), so the
+    penalty ``ρδ²/2`` overflows and carries no acyclicity signal.
+    """
+    check_unit_interval(alpha, "alpha")
+    if alpha == 0.0:
+        raise ValidationError(
+            "alpha must be > 0 for a solver: at alpha = 0 the bound iteration diverges "
+            "on near-acyclic weights (about 1e221 at k = 5), so the acyclicity penalty overflows"
+        )
+    return float(alpha)
 
 
 def spectral_bound(weights, k: int = 5, alpha: float = 0.9) -> float:

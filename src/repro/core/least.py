@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.acyclicity import SpectralAcyclicityBound
+from repro.core.acyclicity import SpectralAcyclicityBound, check_solver_alpha
 from repro.core.losses import LeastSquaresLoss, full_batch_moments, sample_batch
 from repro.core.notears_constraint import notears_constraint
 from repro.core.optimizers import AdamOptimizer
@@ -42,7 +42,6 @@ from repro.utils.validation import (
     check_non_negative,
     check_positive,
     check_probability,
-    check_unit_interval,
     ensure_2d,
 )
 
@@ -119,7 +118,8 @@ class LEASTConfig:
     k:
         Rounds of the spectral-bound iteration (paper: 5).
     alpha:
-        Row/column balancing factor of the bound (paper: 0.9).
+        Row/column balancing factor of the bound, in ``(0, 1]`` (paper:
+        0.9).  ``0`` is rejected: the bound iteration diverges there.
     l1_penalty:
         λ of the L1 regularizer (paper: 0.5 on artificial data).
     learning_rate:
@@ -191,7 +191,7 @@ class LEASTConfig:
     def __post_init__(self) -> None:
         if self.k < 0:
             raise ValidationError(f"k must be >= 0, got {self.k}")
-        check_unit_interval(self.alpha, "alpha")
+        check_solver_alpha(self.alpha)
         check_non_negative(self.l1_penalty, "l1_penalty")
         check_positive(self.learning_rate, "learning_rate")
         check_probability(self.init_density, "init_density")

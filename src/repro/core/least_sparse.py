@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from repro.core.acyclicity import SpectralAcyclicityBound
+from repro.core.acyclicity import SpectralAcyclicityBound, check_solver_alpha
 from repro.core.losses import LeastSquaresLoss, sample_batch
 from repro.core.optimizers import SparseAdamOptimizer
 from repro.exceptions import ValidationError
@@ -36,7 +36,6 @@ from repro.utils.validation import (
     check_non_negative,
     check_positive,
     check_probability,
-    check_unit_interval,
     ensure_2d,
 )
 
@@ -145,7 +144,8 @@ class SparseLEASTConfig:
     k:
         Rounds of the spectral-bound iteration (paper: 5).
     alpha:
-        Row/column balancing factor of the bound (paper: 0.9).
+        Row/column balancing factor of the bound, in ``(0, 1]`` (paper:
+        0.9).  ``0`` is rejected: the bound iteration diverges there.
     l1_penalty:
         λ of the L1 regularizer on the support values.
     learning_rate:
@@ -207,7 +207,7 @@ class SparseLEASTConfig:
     def __post_init__(self) -> None:
         if self.k < 0:
             raise ValidationError(f"k must be >= 0, got {self.k}")
-        check_unit_interval(self.alpha, "alpha")
+        check_solver_alpha(self.alpha)
         check_non_negative(self.l1_penalty, "l1_penalty")
         check_positive(self.learning_rate, "learning_rate")
         check_probability(self.init_density, "init_density")
@@ -382,6 +382,8 @@ class SparseLEAST:
         The support is one canonical ``(indices, indptr)`` pair that can only
         shrink.  The bound's gradient shares it, so the bound, loss gradient
         and Adam state are all flat arrays aligned with ``weights.data``.
+        The CSR matrix is built again only when the support shrinks; otherwise
+        the step's values are assigned to its ``data``.
         """
         config = self.config
         optimizer = SparseAdamOptimizer(learning_rate=config.learning_rate)
@@ -412,12 +414,13 @@ class SparseLEAST:
             keep = rows != weights.indices
             if config.threshold > 0:
                 keep &= np.abs(new_data) >= config.threshold
-            indices, indptr = weights.indices, weights.indptr
-            if not keep.all():
+            if keep.all():
+                weights.data = new_data
+            else:
                 optimizer.shrink_support(keep)
-                rows, new_data, indices = rows[keep], new_data[keep], indices[keep]
+                rows, new_data, indices = rows[keep], new_data[keep], weights.indices[keep]
                 indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=d))))
-            weights = sp.csr_matrix((new_data, indices, indptr), shape=weights.shape)
+                weights = sp.csr_matrix((new_data, indices, indptr), shape=weights.shape)
 
             if np.isfinite(previous_objective):
                 denominator = max(abs(previous_objective), 1e-12)

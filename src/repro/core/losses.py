@@ -179,9 +179,10 @@ class LeastSquaresLoss:
     ) -> tuple[float, np.ndarray]:
         """Loss and support-restricted gradient for a CSR weight matrix.
 
-        The returned gradient is a 1-D array aligned with the COO ordering of
-        ``weights`` (row-major, as produced by ``weights.tocoo()`` on a
-        canonical CSR matrix); entry ``k`` is ``∂L/∂W[rows[k], cols[k]]``.
+        The returned gradient is a 1-D array aligned with the stored entries
+        of ``weights.tocsr()`` (row-major, duplicates and order kept, as
+        ``tocoo()`` would list them); entry ``k`` is
+        ``∂L/∂W[rows[k], cols[k]]``.
         """
         if not sp.issparse(weights):
             raise ValidationError("weights must be a scipy sparse matrix")
@@ -195,13 +196,15 @@ class LeastSquaresLoss:
         smooth = float((residual**2).sum()) / n_samples
         value = smooth + self.l1_penalty * float(np.abs(csr.data).sum())
 
-        coo = csr.tocoo()
+        # The row of every stored entry, without building a COO matrix.
+        rows = np.repeat(np.arange(csr.shape[0]), np.diff(csr.indptr))
+        cols = csr.indices
         # ∂/∂W[i, j] of (1/n)||XW - X||^2 = (2/n) X[:, i] · residual[:, j]
         gradient = (2.0 / n_samples) * np.einsum(
-            "ni,ni->i", data[:, coo.row], residual[:, coo.col]
+            "ni,ni->i", data[:, rows], residual[:, cols]
         )
-        gradient = gradient + self.l1_penalty * np.sign(coo.data)
-        gradient[coo.row == coo.col] = 0.0
+        gradient = gradient + self.l1_penalty * np.sign(csr.data)
+        gradient[rows == cols] = 0.0
         return value, gradient
 
     # -- internals -------------------------------------------------------------

@@ -5,9 +5,10 @@ before the library moved to flat-support evaluation: every round of the
 forward pass builds a new CSR matrix, the backward pass fancy-indexes each
 level at the support, and the loop reads the bound's gradient back through
 ``[row, col]`` indexing and rebuilds its weights from COO triplets.  It keeps
-its own copies of the old numeric helpers, so a change to the library's
-cannot hide on both sides.  The parity tests compare the library against it;
-it is not collected by pytest.
+its own copies of the old numeric helpers and of the sparse least-squares
+loss (``tocoo`` plus ``einsum``), so a change to the library's cannot hide on
+both sides.  The parity tests compare the library against it; it is not
+collected by pytest.
 """
 
 from __future__ import annotations
@@ -129,8 +130,28 @@ def bound_value_and_gradient(weights: sp.spmatrix, k: int, alpha: float):
     return bound, gradient.tocsr()
 
 
+def loss_value_and_gradient(weights: sp.spmatrix, data: np.ndarray, l1_penalty: float):
+    """``LeastSquaresLoss.sparse_value_and_gradient``: gradient in COO order."""
+    csr = weights.tocsr()
+    data = np.asarray(data, dtype=float)
+    n_samples = max(data.shape[0], 1)
+
+    predicted = data @ csr
+    residual = predicted - data
+    smooth = float((residual**2).sum()) / n_samples
+    value = smooth + l1_penalty * float(np.abs(csr.data).sum())
+
+    coo = csr.tocoo()
+    gradient = (2.0 / n_samples) * np.einsum(
+        "ni,ni->i", data[:, coo.row], residual[:, coo.col]
+    )
+    gradient = gradient + l1_penalty * np.sign(coo.data)
+    gradient[coo.row == coo.col] = 0.0
+    return value, gradient
+
+
 class OracleSparseLEAST(SparseLEAST):
-    """``SparseLEAST`` whose inner loop and bound are the reference versions."""
+    """``SparseLEAST`` whose inner loop, bound and loss are the reference versions."""
 
     def _inner(self, data, weights, rho, eta, rng):
         config = self.config
@@ -151,7 +172,9 @@ class OracleSparseLEAST(SparseLEAST):
             constraint, constraint_gradient = bound_value_and_gradient(
                 weights, config.k, config.alpha
             )
-            loss_value, loss_gradient_data = self._loss.sparse_value_and_gradient(weights, batch)
+            loss_value, loss_gradient_data = loss_value_and_gradient(
+                weights, batch, config.l1_penalty
+            )
 
             coo = weights.tocoo()
             constraint_gradient_data = np.asarray(

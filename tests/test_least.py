@@ -98,6 +98,11 @@ class TestLEASTConfig:
         with pytest.raises(ValidationError):
             LEASTConfig(**kwargs)
 
+    def test_zero_alpha_rejected_as_divergent(self):
+        with pytest.raises(ValidationError, match="alpha must be > 0.*diverges"):
+            LEASTConfig(alpha=0.0)
+        LEASTConfig(alpha=1.0)
+
 
 class TestLEASTFit:
     def test_output_shape_and_diagonal(self, er2_problem):

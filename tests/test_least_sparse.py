@@ -149,3 +149,8 @@ class TestSparseLEAST:
             SparseLEASTConfig(alpha=-0.5)
         with pytest.raises(ValidationError):
             SparseLEASTConfig(threshold=-1.0)
+
+    def test_zero_alpha_rejected_as_divergent(self):
+        with pytest.raises(ValidationError, match="alpha must be > 0.*diverges"):
+            SparseLEASTConfig(alpha=0.0)
+        SparseLEASTConfig(alpha=1.0)
