@@ -464,14 +464,9 @@ def shard_main(argv: Sequence[str] | None = None) -> int:
         return 2
 
     try:
-        if planner.partition_columns is not None:
-            # Overlapped plan/execute: partitions are planned and their block
-            # jobs submitted on one stream session, so no global skeleton is
-            # ever built.
-            result = executor.run_stream(data, planner, seed=args.seed)
-        else:
-            plan = planner.plan(data, tracer=tracer)
-            result = executor.run(data, plan, seed=args.seed, planner=planner)
+        # With --partition-columns, planning overlaps the block solves and no
+        # global skeleton is ever built.
+        result = executor.run_stream(data, planner, seed=args.seed)
     except ValidationError as exc:  # e.g. an unknown --solver name
         print(f"error: {exc}", file=sys.stderr)
         return 2

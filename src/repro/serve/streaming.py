@@ -38,7 +38,10 @@ Jobs with no deadline and ``n_workers=1`` are executed inline in the parent
 (no fork, no pickling) — the cheap path for small serial manifests.  The
 soft-deadline tier works inline too (it is purely cooperative).
 
-For incremental intake (the ``repro-serve daemon`` mode) use
+Every pool pass runs :meth:`StreamSession.pump`, over a whole manifest
+(:meth:`StreamingRunner.stream`) or over jobs arriving in batches
+(:meth:`StreamingRunner.stream_batches`, always on workers).  For
+incremental intake (the ``repro-serve daemon`` mode) use
 :meth:`StreamingRunner.open_session`: the returned :class:`StreamSession`
 accepts submissions one at a time and hands back results as they complete,
 over the same pool.
@@ -64,7 +67,7 @@ import tempfile
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -275,6 +278,26 @@ class StreamSession:
             for item, result in self.pool.poll(timeout)
         ]
 
+    def pump(
+        self, pending: deque[PoolJob], timeout: float | None = None
+    ) -> list[tuple[PoolJob, JobResult]]:
+        """Submit from ``pending`` while there is capacity, then poll once.
+
+        Returns the instant outcomes of the submissions (cache hits,
+        materialization failures) first, then the completions of a
+        :meth:`poll` of at most ``timeout`` seconds, skipped when nothing is
+        in flight.  Items that did not fit stay in ``pending``.
+        """
+        done: list[tuple[PoolJob, JobResult]] = []
+        while pending and self.has_capacity():
+            item = pending.popleft()
+            immediate = self.submit_item(item)
+            if immediate is not None:
+                done.append((item, immediate))
+        if self.in_flight:
+            done.extend(self.poll(timeout))
+        return done
+
     def finish(self, item: PoolJob, result: JobResult) -> JobResult:
         """Finalize one result: cache write-back, span end, telemetry."""
         runner = self._runner
@@ -429,6 +452,21 @@ class StreamingRunner:
         for _, result in self._stream(jobs):
             yield result
 
+    def stream_batches(
+        self, batches: Iterable[Sequence[LearningJob]]
+    ) -> Iterator[JobResult]:
+        """Yield one :class:`JobResult` per job of every batch, in completion order.
+
+        Each batch is queued and fills the free workers, finished results
+        are collected without waiting, and only then is the next batch
+        pulled, so a producer builds batch ``k+1`` while batch ``k`` runs.
+        Job ids and results equal :meth:`stream` over the concatenated
+        batches, but the pass always runs on pool workers: an inline solve
+        would block the producer.
+        """
+        for _, result in self._stream_pooled(batches):
+            yield result
+
     def run(
         self,
         jobs: Sequence[LearningJob],
@@ -484,30 +522,31 @@ class StreamingRunner:
 
     def _stream(self, jobs: Sequence[LearningJob]) -> Iterator[tuple[Any, JobResult]]:
         """Yield ``(manifest index, result)`` pairs in completion order."""
-        jobs = list(jobs)
-        for index, job in enumerate(jobs):
-            if job.job_id is None:
-                job.job_id = f"job-{index:03d}"
         if self.n_workers == 1 and self.timeout is None:
-            yield from self._stream_inline(jobs)
-            return
+            yield from self._stream_inline(list(jobs))
+        else:
+            yield from self._stream_pooled([jobs])
+
+    def _stream_pooled(
+        self, batches: Iterable[Sequence[LearningJob]]
+    ) -> Iterator[tuple[Any, JobResult]]:
+        """The pool pass: ``(manifest index, result)`` pairs, batch by batch."""
         session = self.open_session()
-        pending: deque[PoolJob] = deque(
-            PoolJob(job=job, tag=index, enqueued_at=session.started)
-            for index, job in enumerate(jobs)
-        )
+        pending: deque[PoolJob] = deque()
+        index = 0
         try:
+            for batch in batches:
+                arrived = time.monotonic()
+                for job in batch:
+                    if job.job_id is None:
+                        job.job_id = f"job-{index:03d}"
+                    pending.append(PoolJob(job=job, tag=index, enqueued_at=arrived))
+                    index += 1
+                for item, result in session.pump(pending, 0):
+                    yield item.tag, result
             while pending or session.in_flight:
-                # Fill free capacity; immediate outcomes (materialization
-                # failures, cache hits) yield right away.
-                while pending and session.has_capacity():
-                    item = pending.popleft()
-                    immediate = session.submit_item(item)
-                    if immediate is not None:
-                        yield item.tag, immediate
-                if session.in_flight:
-                    for item, result in session.poll():
-                        yield item.tag, result
+                for item, result in session.pump(pending):
+                    yield item.tag, result
         finally:
             session.close()
 
@@ -519,6 +558,8 @@ class StreamingRunner:
         self._setup_sampler()
         try:
             for index, job in enumerate(jobs):
+                if job.job_id is None:
+                    job.job_id = f"job-{index:03d}"
                 item = PoolJob(job=job, tag=index, enqueued_at=started)
                 self._start_job_trace(item)
                 result = self._prepare(item)

@@ -2,21 +2,25 @@
 
 :class:`ShardExecutor` materializes the blocks of a
 :class:`~repro.shard.planner.ShardPlan` as inline-data
-:class:`~repro.serve.job.LearningJob` records and drives them through
+:class:`~repro.serve.job.LearningJob` records and drives them through its
 :class:`~repro.serve.streaming.StreamingRunner` — inheriting the engine's
 parallel workers, hard per-block deadlines (SIGKILL + suicide timers), the
 fail/requeue preemption policy, and result caching.  Block results are
 consumed as they stream in; once the stream drains, the surviving sub-graphs
 are merged by :class:`~repro.shard.stitcher.Stitcher` into one global DAG.
+:meth:`ShardExecutor.run` (a plan) and :meth:`ShardExecutor.run_stream` (a
+planner) are entry points over one pass, whose solve step the boundary
+rounds reuse.  A plan-first pass runs inline at one worker without a
+deadline, like :meth:`~repro.serve.streaming.StreamingRunner.stream`; a
+partitioned pass always runs on pool workers.
 
 Two mechanisms push the sharded path toward very wide problems:
 
 * **Overlapped plan/execute** (:meth:`ShardExecutor.run_stream`): with a
   hierarchical planner (:attr:`~repro.shard.planner.ShardPlanner.partition_columns`)
-  the executor opens a :class:`~repro.serve.streaming.StreamSession` and
-  submits each partition's block jobs the moment that partition is planned, so
-  block solves run while later partitions are still being planned — and no
-  single global skeleton ever has to exist in memory.
+  each partition's block jobs are submitted the moment that partition is
+  planned, so block solves run while later partitions are still being
+  planned — and no single global skeleton ever has to exist in memory.
 * **Boundary re-solve** (:attr:`ShardExecutor.boundary_rounds`): after the
   first stitch, the nodes around block boundaries (owned nodes of failed
   blocks plus every halo node) are re-planned over a *fresh* skeleton — one
@@ -34,9 +38,8 @@ blocks and which owned nodes are missing) is recorded in the
 from __future__ import annotations
 
 import contextlib
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -226,6 +229,10 @@ def _edge_count(weights: np.ndarray | sp.spmatrix) -> int:
 class ShardExecutor:
     """Solve every block of a plan as a streamed job and stitch the results.
 
+    The engine options (``n_workers`` to ``max_jobs_per_worker``) build the
+    executor's :class:`~repro.serve.streaming.StreamingRunner`, so a bad
+    value raises :class:`~repro.exceptions.ValidationError` here.
+
     Parameters
     ----------
     solver:
@@ -276,7 +283,7 @@ class ShardExecutor:
         warm-start those blocks from the stitched graph, and re-stitch.
         ``0`` (default) disables the mechanism.
     tracer:
-        Optional :class:`~repro.obs.Tracer`.  :meth:`run` then executes
+        Optional :class:`~repro.obs.Tracer`.  A pass then executes
         inside a ``shard_solve`` span — block job spans (from the streaming
         engine) and the ``stitch`` span nest under it — and per-status block
         counters land in ``tracer.metrics``.
@@ -313,38 +320,30 @@ class ShardExecutor:
             # screen is cheap there and recovers real edges far better than a
             # random support — callers can still override via config.
             self.config.setdefault("support", "correlation")
-        self.n_workers = n_workers
-        self.timeout = timeout
-        self.preempt_policy = preempt_policy
-        self.preempt_retries = preempt_retries
-        self.max_retries = max_retries
-        self.cache = cache
         self.edge_threshold = edge_threshold
         self.stitcher = stitcher or Stitcher()
-        self.soft_timeout = soft_timeout
-        self.max_jobs_per_worker = max_jobs_per_worker
         self.boundary_rounds = int(boundary_rounds)
         self.tracer = tracer
+        # Built once, so bad engine options fail here rather than at the
+        # first pass; every pass and boundary round runs on this runner.
+        self._runner = StreamingRunner(
+            n_workers=n_workers,
+            cache=cache,
+            timeout=timeout,
+            max_retries=max_retries,
+            preempt_policy=preempt_policy,
+            preempt_retries=preempt_retries,
+            tracer=tracer,
+            soft_timeout=soft_timeout,
+            max_jobs_per_worker=max_jobs_per_worker,
+        )
+
+    @property
+    def timeout(self) -> float | None:
+        """Hard per-block deadline in seconds (``None``: no preemption)."""
+        return self._runner.timeout
 
     # -- job construction ------------------------------------------------------
-
-    def build_jobs(
-        self, data: np.ndarray, plan: ShardPlan, seed: int | None = 0
-    ) -> list[LearningJob]:
-        """Materialize the jobs of ``plan``, one per block.
-
-        Block ``k`` gets ``job_id="block-kkk"`` and seed ``seed + k`` so
-        block solves stay individually reproducible yet mutually
-        decorrelated.
-        """
-        data = ensure_2d(data, "data")
-        if data.shape[1] != plan.n_nodes:
-            raise ValidationError(
-                f"data has {data.shape[1]} columns but the plan covers "
-                f"{plan.n_nodes} nodes"
-            )
-        jobs, _ = self._build_block_jobs(data, plan.blocks, seed)
-        return jobs
 
     def _build_block_jobs(
         self,
@@ -375,65 +374,7 @@ class ShardExecutor:
             routing[job_id] = block
         return jobs, routing
 
-    # -- result consumption ----------------------------------------------------
-
-    def _consume(
-        self,
-        result: JobResult,
-        routing: dict[str, ShardBlock],
-        outcomes: dict[int, JobResult],
-        survivors: list[tuple[ShardBlock, np.ndarray | sp.spmatrix]],
-        anomalies: dict[str, str],
-    ) -> None:
-        """Route one streamed result back to its block.
-
-        A result that claims ``"ok"`` without weights violates the result
-        contract: it is recorded as an anomaly and its block is *not* a
-        survivor — its owned nodes count as missing.
-        """
-        block = routing[result.job_id]
-        outcomes[block.index] = result
-        if self.tracer is not None:
-            self.tracer.metrics.counter(
-                "shard_blocks_total", status=result.status
-            ).inc()
-        if result.status != "ok":
-            return
-        if result.weights is None:
-            anomalies[result.job_id] = (
-                "result claimed status 'ok' but carried no weights; "
-                "treating the block's owned nodes as missing"
-            )
-            return
-        # Keep each block's native representation: CSR block results are
-        # thresholded on their data vector and handed to the stitcher still
-        # sparse.
-        local = result.weights
-        if not sp.issparse(local):
-            local = np.asarray(local, dtype=float)
-        if self.edge_threshold > 0.0:
-            local = threshold_weights(local, self.edge_threshold)
-        survivors.append((block, local))
-
     # -- execution -------------------------------------------------------------
-
-    def _make_runner(self) -> StreamingRunner:
-        return StreamingRunner(
-            n_workers=self.n_workers,
-            cache=self.cache,
-            timeout=self.timeout,
-            max_retries=self.max_retries,
-            preempt_policy=self.preempt_policy,
-            preempt_retries=self.preempt_retries,
-            tracer=self.tracer,
-            soft_timeout=self.soft_timeout,
-            max_jobs_per_worker=self.max_jobs_per_worker,
-        )
-
-    @staticmethod
-    def _accumulate(totals: dict[str, float], summary: dict[str, float]) -> None:
-        for key, value in summary.items():
-            totals[key] = totals.get(key, 0.0) + value
 
     def run(
         self,
@@ -458,6 +399,36 @@ class ShardExecutor:
                 f"data has {data.shape[1]} columns but the plan covers "
                 f"{plan.n_nodes} nodes"
             )
+        return self._pass(data, seed, planner, plan=plan)
+
+    def run_stream(
+        self,
+        data: np.ndarray,
+        planner: ShardPlanner,
+        seed: int | None = 0,
+    ) -> ShardResult:
+        """Plan with ``planner`` and execute, overlapping the two when partitioned.
+
+        With :attr:`~repro.shard.planner.ShardPlanner.partition_columns`
+        set, each partition's block jobs go to
+        :meth:`~repro.serve.streaming.StreamingRunner.stream_batches` the
+        moment it is planned, so block solves run while later partitions
+        are planned; the result is identical to the plan-first path.
+        Without partitioning this is :meth:`run` on ``planner.plan(data)``.
+        """
+        if planner.partition_columns is None:
+            plan = planner.plan(data, tracer=self.tracer)
+            return self.run(data, plan, seed=seed, planner=planner)
+        return self._pass(ensure_2d(data, "data"), seed, planner)
+
+    def _pass(
+        self,
+        data: np.ndarray,
+        seed: int | None,
+        planner: ShardPlanner | None,
+        plan: ShardPlan | None = None,
+    ) -> ShardResult:
+        """Solve ``plan`` (or ``planner``'s batches), stitch, run boundary rounds."""
         timer = Timer()
         with contextlib.ExitStack() as stack:
             stack.enter_context(timer)
@@ -469,182 +440,70 @@ class ShardExecutor:
                     self.tracer.span(
                         "shard_solve",
                         solver=self.solver,
-                        n_blocks=plan.n_blocks,
-                        n_nodes=plan.n_nodes,
-                    )
-                )
-            jobs, routing = self._build_block_jobs(data, plan.blocks, seed)
-            outcomes: dict[int, JobResult] = {}
-            survivors: list[tuple[ShardBlock, np.ndarray | sp.spmatrix]] = []
-            anomalies: dict[str, str] = {}
-            preemption: dict[str, float] = {}
-            runner = self._make_runner()
-            for result in runner.stream(jobs):
-                self._consume(result, routing, outcomes, survivors, anomalies)
-            self._accumulate(preemption, runner.telemetry.preemption_summary())
-            result = self._finish(
-                data=data,
-                plan=plan,
-                planner=planner,
-                seed=seed,
-                outcomes=outcomes,
-                survivors=survivors,
-                anomalies=anomalies,
-                preemption=preemption,
-                shard_span=shard_span,
-                timer=timer,
-            )
-        result.total_seconds = timer.elapsed
-        return result
-
-    def run_stream(
-        self,
-        data: np.ndarray,
-        planner: ShardPlanner,
-        seed: int | None = 0,
-    ) -> ShardResult:
-        """Overlap hierarchical planning with execution on one stream session.
-
-        Each batch from
-        :meth:`~repro.shard.planner.ShardPlanner.iter_block_batches` is
-        turned into block jobs and submitted the moment it exists, so block
-        solves for partition ``k`` run while partition ``k+1`` is still
-        being planned.  Between batches the session is polled without
-        blocking; once planning is exhausted the remaining jobs drain as in
-        :meth:`run`.  The assembled plan, the stitch, the gap accounting,
-        and any boundary re-solve rounds are identical to the plan-first
-        path.
-        """
-        data = ensure_2d(data, "data")
-        timer = Timer()
-        with contextlib.ExitStack() as stack:
-            stack.enter_context(timer)
-            shard_span = None
-            if self.tracer is not None:
-                shard_span = stack.enter_context(
-                    self.tracer.span(
-                        "shard_solve",
-                        solver=self.solver,
                         n_nodes=int(data.shape[1]),
-                        overlapped=True,
+                        overlapped=plan is None,
                     )
                 )
-            blocks: list[ShardBlock] = []
-            total_edges = 0
-            outcomes: dict[int, JobResult] = {}
-            survivors: list[tuple[ShardBlock, np.ndarray | sp.spmatrix]] = []
             anomalies: dict[str, str] = {}
-            routing: dict[str, ShardBlock] = {}
             preemption: dict[str, float] = {}
-            runner = self._make_runner()
-            session = runner.open_session()
-            pending: deque[LearningJob] = deque()
+            if plan is not None:
+                _, outcomes, survivors = self._solve(
+                    data, [plan.blocks], seed, anomalies, preemption
+                )
+            else:
+                batch_edges: list[int] = []
 
-            def pump(drain: bool) -> None:
-                """Submit while there is capacity; collect finished results."""
-                while True:
-                    while pending and session.has_capacity():
-                        immediate = session.submit(pending.popleft())
-                        if immediate is not None:
-                            self._consume(
-                                immediate, routing, outcomes, survivors, anomalies
-                            )
-                    if not (pending or session.in_flight):
-                        return
-                    for _, finished in session.poll(None if drain else 0):
-                        self._consume(
-                            finished, routing, outcomes, survivors, anomalies
-                        )
-                    if not drain:
-                        return
+                def batches():
+                    for batch, n_edges in planner.iter_block_batches(
+                        data, tracer=self.tracer
+                    ):
+                        batch_edges.append(n_edges)
+                        yield batch
 
-            try:
-                for batch, n_edges in planner.iter_block_batches(
-                    data, tracer=self.tracer
-                ):
-                    blocks.extend(batch)
-                    total_edges += n_edges
-                    batch_jobs, batch_routing = self._build_block_jobs(
-                        data, batch, seed
-                    )
-                    routing.update(batch_routing)
-                    pending.extend(batch_jobs)
-                    pump(drain=False)
-                pump(drain=True)
-            finally:
-                session.close()
-            self._accumulate(preemption, runner.telemetry.preemption_summary())
-            plan = ShardPlan(
-                n_nodes=int(data.shape[1]),
-                blocks=blocks,
-                n_skeleton_edges=total_edges,
-                skeleton_threshold=planner.skeleton_threshold,
+                blocks, outcomes, survivors = self._solve(
+                    data, batches(), seed, anomalies, preemption, batched=True
+                )
+                plan = ShardPlan(
+                    n_nodes=int(data.shape[1]),
+                    blocks=blocks,
+                    n_skeleton_edges=sum(batch_edges),
+                    skeleton_threshold=planner.skeleton_threshold,
+                )
+            survivors.sort(key=lambda pair: pair[0].index)
+            stitched = self.stitcher.stitch(
+                survivors, plan.n_nodes, tracer=self.tracer
             )
+            block_results = [outcomes[block.index] for block in plan.blocks]
+            covered = {block.index for block, _ in survivors}
+            missing = sorted(
+                node
+                for block in plan.blocks
+                if block.index not in covered
+                for node in block.core
+            )
+            initial_weights = None
+            rounds: list[dict[str, Any]] = []
+            if self.boundary_rounds > 0:
+                initial_weights = stitched.weights
+                stitched, missing = self._boundary_resolve(
+                    data=data,
+                    plan=plan,
+                    planner=planner,
+                    seed=seed,
+                    survivors=survivors,
+                    stitched=stitched,
+                    missing=missing,
+                    anomalies=anomalies,
+                    preemption=preemption,
+                    rounds=rounds,
+                )
             if shard_span is not None:
-                shard_span.set_attribute("n_blocks", plan.n_blocks)
-            result = self._finish(
-                data=data,
-                plan=plan,
-                planner=planner,
-                seed=seed,
-                outcomes=outcomes,
-                survivors=survivors,
-                anomalies=anomalies,
-                preemption=preemption,
-                shard_span=shard_span,
-                timer=timer,
-            )
-        result.total_seconds = timer.elapsed
-        return result
-
-    # -- stitch + boundary re-solve --------------------------------------------
-
-    def _finish(
-        self,
-        data: np.ndarray,
-        plan: ShardPlan,
-        planner: ShardPlanner | None,
-        seed: int | None,
-        outcomes: dict[int, JobResult],
-        survivors: list[tuple[ShardBlock, np.ndarray | sp.spmatrix]],
-        anomalies: dict[str, str],
-        preemption: dict[str, float],
-        shard_span,
-        timer: Timer,
-    ) -> ShardResult:
-        """Stitch the survivors, account the gaps, run boundary rounds."""
-        survivors.sort(key=lambda pair: pair[0].index)
-        stitched = self.stitcher.stitch(survivors, plan.n_nodes, tracer=self.tracer)
-        block_results = [outcomes[block.index] for block in plan.blocks]
-        covered = {block.index for block, _ in survivors}
-        missing = sorted(
-            node
-            for block in plan.blocks
-            if block.index not in covered
-            for node in block.core
-        )
-        initial_weights = None
-        rounds: list[dict[str, Any]] = []
-        if self.boundary_rounds > 0:
-            initial_weights = stitched.weights
-            stitched, missing = self._boundary_resolve(
-                data=data,
-                plan=plan,
-                planner=planner,
-                seed=seed,
-                survivors=survivors,
-                stitched=stitched,
-                missing=missing,
-                anomalies=anomalies,
-                preemption=preemption,
-                rounds=rounds,
-            )
-        if shard_span is not None:
-            shard_span.set_attributes(
-                n_blocks_ok=sum(1 for r in block_results if r.status == "ok"),
-                n_missing_nodes=len(missing),
-                n_resolve_rounds=len(rounds),
-            )
+                shard_span.set_attributes(
+                    n_blocks=plan.n_blocks,
+                    n_blocks_ok=sum(1 for r in block_results if r.status == "ok"),
+                    n_missing_nodes=len(missing),
+                    n_resolve_rounds=len(rounds),
+                )
         return ShardResult(
             weights=stitched.weights,
             plan=plan,
@@ -658,29 +517,80 @@ class ShardExecutor:
             initial_weights=initial_weights,
         )
 
-    def _resolve_planner(
-        self, plan: ShardPlan, planner: ShardPlanner | None
-    ) -> ShardPlanner:
-        """The planner used to re-plan the boundary set (never partitioned).
+    def _solve(
+        self,
+        data: np.ndarray,
+        batches: Iterable[Sequence[ShardBlock]],
+        seed: int | None,
+        anomalies: dict[str, str],
+        preemption: dict[str, float],
+        *,
+        batched: bool = False,
+        id_prefix: str = "",
+        warm_starts: dict[int, np.ndarray | sp.spmatrix] | None = None,
+    ) -> tuple[
+        list[ShardBlock],
+        dict[int, JobResult],
+        list[tuple[ShardBlock, np.ndarray | sp.spmatrix]],
+    ]:
+        """Solve block batches on the runner; route each result to its block.
 
-        Boundary re-solve exists to recover edges *across* partitions, so
-        the boundary skeleton is always global over the boundary columns —
-        the caller's planner settings are kept, its partitioning is not.
+        ``batched`` streams the batches lazily (``stream_batches``);
+        otherwise all jobs are built first and run through ``stream``.
+        Returns the blocks in submission order, each block's result by
+        index, and the ``(block, weights)`` survivors.  A result that claims
+        ``"ok"`` without weights is recorded in ``anomalies`` and its block
+        is *not* a survivor: its owned nodes count as missing.
         """
-        source = planner
-        if source is None:
-            return ShardPlanner(skeleton_threshold=plan.skeleton_threshold)
-        if source.partition_columns is None:
-            return source
-        return ShardPlanner(
-            skeleton_threshold=source.skeleton_threshold,
-            max_block_size=source.max_block_size,
-            min_block_size=source.min_block_size,
-            halo_depth=source.halo_depth,
-            max_halo_size=source.max_halo_size,
-            dense_skeleton_limit=source.dense_skeleton_limit,
-            skeleton_chunk_columns=source.skeleton_chunk_columns,
-        )
+        blocks: list[ShardBlock] = []
+        routing: dict[str, ShardBlock] = {}
+
+        def job_batches():
+            for batch in batches:
+                jobs, batch_routing = self._build_block_jobs(
+                    data, batch, seed, id_prefix, warm_starts
+                )
+                blocks.extend(batch)
+                routing.update(batch_routing)
+                yield jobs
+
+        if batched:
+            results = self._runner.stream_batches(job_batches())
+        else:
+            results = self._runner.stream(
+                [job for jobs in job_batches() for job in jobs]
+            )
+        outcomes: dict[int, JobResult] = {}
+        survivors: list[tuple[ShardBlock, np.ndarray | sp.spmatrix]] = []
+        for result in results:
+            block = routing[result.job_id]
+            outcomes[block.index] = result
+            if self.tracer is not None:
+                self.tracer.metrics.counter(
+                    "shard_blocks_total", status=result.status
+                ).inc()
+            if result.status != "ok":
+                continue
+            if result.weights is None:
+                anomalies[result.job_id] = (
+                    "result claimed status 'ok' but carried no weights; "
+                    "treating the block's owned nodes as missing"
+                )
+                continue
+            # Keep each block's native representation: CSR block results are
+            # thresholded on their data vector and handed to the stitcher
+            # still sparse.
+            local = result.weights
+            if not sp.issparse(local):
+                local = np.asarray(local, dtype=float)
+            if self.edge_threshold > 0.0:
+                local = threshold_weights(local, self.edge_threshold)
+            survivors.append((block, local))
+        for key, value in self._runner.telemetry.preemption_summary().items():
+            preemption[key] = preemption.get(key, 0.0) + value
+        return blocks, outcomes, survivors
+
+    # -- boundary re-solve -----------------------------------------------------
 
     def _warm_starts(
         self,
@@ -763,7 +673,11 @@ class ShardExecutor:
         pass cannot see.  Round blocks are warm-started from the current
         stitched graph, executed like any other block set, and stitched in with every earlier survivor.
         """
-        sub_planner = self._resolve_planner(plan, planner)
+        # Boundary re-solve exists to recover edges *across* partitions, so
+        # the boundary skeleton is always global over the boundary columns.
+        sub_planner = (
+            planner or ShardPlanner(skeleton_threshold=plan.skeleton_threshold)
+        ).unpartitioned()
         halo_nodes = sorted({node for block in plan.blocks for node in block.halo})
         next_index = plan.n_blocks
         for round_no in range(1, self.boundary_rounds + 1):
@@ -790,24 +704,17 @@ class ShardExecutor:
                 for position, block in enumerate(local_plan.blocks)
             ]
             next_index += len(round_blocks)
-            warm = self._warm_starts(stitched.weights, round_blocks, data, seed)
-            jobs, routing = self._build_block_jobs(
+            _, round_outcomes, round_survivors = self._solve(
                 data,
-                round_blocks,
+                [round_blocks],
                 seed,
+                anomalies,
+                preemption,
                 id_prefix=f"r{round_no}-",
-                warm_starts=warm,
+                warm_starts=self._warm_starts(
+                    stitched.weights, round_blocks, data, seed
+                ),
             )
-            round_outcomes: dict[int, JobResult] = {}
-            round_survivors: list[
-                tuple[ShardBlock, np.ndarray | sp.spmatrix]
-            ] = []
-            runner = self._make_runner()
-            for result in runner.stream(jobs):
-                self._consume(
-                    result, routing, round_outcomes, round_survivors, anomalies
-                )
-            self._accumulate(preemption, runner.telemetry.preemption_summary())
             edges_before = _edge_count(stitched.weights)
             survivors.extend(round_survivors)
             survivors.sort(key=lambda pair: pair[0].index)
@@ -873,9 +780,5 @@ def solve_sharded(
     ShardResult
         The stitched DAG plus the full plan/stitch/gap report.
     """
-    planner = planner or ShardPlanner()
     executor = executor or ShardExecutor()
-    if planner.partition_columns is not None:
-        return executor.run_stream(data, planner, seed=seed)
-    plan = planner.plan(data, tracer=executor.tracer)
-    return executor.run(data, plan, seed=seed, planner=planner)
+    return executor.run_stream(data, planner or ShardPlanner(), seed=seed)

@@ -20,6 +20,7 @@ into one DAG over all ``d`` nodes).
 
 from __future__ import annotations
 
+import copy
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Iterator, Sequence
@@ -440,15 +441,7 @@ class ShardPlanner:
             plan = self._plan_global(data, tracer=tracer)
             yield plan.blocks, plan.n_skeleton_edges
             return
-        sub_planner = ShardPlanner(
-            skeleton_threshold=self.skeleton_threshold,
-            max_block_size=self.max_block_size,
-            min_block_size=self.min_block_size,
-            halo_depth=self.halo_depth,
-            max_halo_size=self.max_halo_size,
-            dense_skeleton_limit=self.dense_skeleton_limit,
-            skeleton_chunk_columns=self.skeleton_chunk_columns,
-        )
+        sub_planner = self.unpartitioned()
         next_index = 0
         for ordinal, start in enumerate(range(0, d, self.partition_columns)):
             stop = min(start + self.partition_columns, d)
@@ -481,35 +474,42 @@ class ShardPlanner:
     def plan(self, data: np.ndarray, *, tracer=None) -> ShardPlan:
         """Build a :class:`ShardPlan` for the ``n × d`` sample matrix.
 
-        The pairwise correlations are computed once: the thresholded skeleton
-        and the halo-ranking strengths are both derived from the same matrix
-        (and the strengths are only kept when :attr:`max_halo_size` needs
-        them for ranking).  Beyond :attr:`dense_skeleton_limit` columns the
-        skeleton is built chunked into CSR — no dense ``d × d`` matrix is
-        ever materialized on that path.  With :attr:`partition_columns` set
-        and the problem wider than it, the plan is assembled hierarchically
-        from :meth:`iter_block_batches` — one independent sub-plan per
-        contiguous column partition.
+        The plan is assembled from :meth:`iter_block_batches`: one batch
+        without partitioning, one independent sub-plan per contiguous column
+        partition with :attr:`partition_columns` set and the problem wider
+        than it.  The pairwise correlations are computed once per skeleton:
+        the thresholded skeleton and the halo-ranking strengths are both
+        derived from the same matrix (and the strengths are only kept when
+        :attr:`max_halo_size` needs them for ranking).  Beyond
+        :attr:`dense_skeleton_limit` columns the skeleton is built chunked
+        into CSR — no dense ``d × d`` matrix is ever materialized on that
+        path.
 
-        ``tracer`` (an optional :class:`~repro.obs.Tracer`) wraps the
+        ``tracer`` (an optional :class:`~repro.obs.Tracer`) wraps each
         planning pass in a ``shard_plan`` span recording the node and block
         counts.
         """
         data = ensure_2d(data, "data")
-        d = data.shape[1]
-        if self.partition_columns is not None and d > self.partition_columns:
-            blocks: list[ShardBlock] = []
-            total_edges = 0
-            for batch, n_edges in self.iter_block_batches(data, tracer=tracer):
-                blocks.extend(batch)
-                total_edges += n_edges
-            return ShardPlan(
-                n_nodes=d,
-                blocks=blocks,
-                n_skeleton_edges=total_edges,
-                skeleton_threshold=self.skeleton_threshold,
-            )
-        return self._plan_global(data, tracer=tracer)
+        blocks: list[ShardBlock] = []
+        total_edges = 0
+        for batch, n_edges in self.iter_block_batches(data, tracer=tracer):
+            blocks.extend(batch)
+            total_edges += n_edges
+        return ShardPlan(
+            n_nodes=data.shape[1],
+            blocks=blocks,
+            n_skeleton_edges=total_edges,
+            skeleton_threshold=self.skeleton_threshold,
+        )
+
+    def unpartitioned(self) -> "ShardPlanner":
+        """A copy of this planner with :attr:`partition_columns` set to ``None``.
+
+        Every other setting is kept; the copy plans over one global skeleton.
+        """
+        flat = copy.copy(self)
+        flat.partition_columns = None
+        return flat
 
     def _plan_global(self, data: np.ndarray, *, tracer=None) -> ShardPlan:
         """Single-skeleton planning over all columns (the non-partitioned path)."""

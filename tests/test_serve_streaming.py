@@ -650,3 +650,94 @@ class TestTelemetryEdgeCases:
         assert adopted[0]["parent_id"] == job_span["span_id"]
         # The spool directory is gone despite the crash.
         assert runner._spool_dir is None
+
+
+class TestStreamBatches:
+    """The batched pass: lazy batch pulls, one pool loop, same results."""
+
+    @staticmethod
+    def _sleep_job(duration: float) -> LearningJob:
+        return LearningJob(
+            solver="hang", data=np.zeros((4, 3)), config={"duration": duration}
+        )
+
+    def test_results_and_job_ids_match_stream_over_concatenated_jobs(self):
+        def jobs():
+            return [_inline_job(seed=s) for s in range(5)]
+
+        reference = {
+            r.job_id: r for r in StreamingRunner(n_workers=2).stream(jobs())
+        }
+        batches = jobs()
+        batched = list(
+            StreamingRunner(n_workers=2).stream_batches(
+                [batches[:2], batches[2:3], [], batches[3:]]
+            )
+        )
+        assert sorted(r.job_id for r in batched) == [
+            f"job-{i:03d}" for i in range(5)
+        ]
+        for result in batched:
+            expected = reference[result.job_id]
+            assert result.status == expected.status == "ok"
+            np.testing.assert_array_equal(result.weights, expected.weights)
+
+    def test_batches_are_pulled_lazily(self, hang_solver, monkeypatch):
+        sessions = []
+        open_session = StreamingRunner.open_session
+
+        def capture(runner):
+            session = open_session(runner)
+            sessions.append(session)
+            return session
+
+        monkeypatch.setattr(StreamingRunner, "open_session", capture)
+        in_flight_at_request: list[int] = []
+
+        def batches():
+            for _ in range(3):
+                in_flight_at_request.append(sessions[0].in_flight)
+                yield [self._sleep_job(1.0), self._sleep_job(1.0)]
+
+        results = list(StreamingRunner(n_workers=2).stream_batches(batches()))
+        assert [r.status for r in results] == ["ok"] * 6
+        # Nothing runs before the first pull; every later pull happens after
+        # the previous batch was submitted and while its jobs still run.
+        assert in_flight_at_request[0] == 0
+        assert all(n >= 1 for n in in_flight_at_request[1:])
+
+    def test_instant_outcomes_in_a_later_batch_return_at_once(self, hang_solver):
+        cache = InMemoryCache()
+        StreamingRunner(cache=cache).run([_inline_job(seed=0)])
+        slow = self._sleep_job(3.0)
+        slow.job_id = "slow"
+        cached = _inline_job(seed=0, job_id="cached")
+        bad = LearningJob(
+            dataset="no-such-dataset", config=dict(FAST_CONFIG), job_id="bad"
+        )
+        runner = StreamingRunner(n_workers=2, cache=cache)
+        results = list(runner.stream_batches([[slow], [cached, bad]]))
+        assert [r.job_id for r in results] == ["cached", "bad", "slow"]
+        assert results[0].cache_hit and results[0].status == "ok"
+        assert results[1].status == "failed" and results[1].error
+        assert results[2].status == "ok"
+
+    def test_requeue_preemption_is_counted_once(self, marker_solver, tmp_path):
+        marker = LearningJob(
+            solver="marker",
+            data=np.zeros((4, 3)),
+            config={"marker_path": str(tmp_path / "marker"), "duration": 60.0},
+            job_id="marker",
+        )
+        runner = StreamingRunner(
+            timeout=1.0, preempt_policy="requeue", preempt_retries=2
+        )
+        results = list(
+            runner.stream_batches([[_inline_job(seed=0)], [marker]])
+        )
+        by_id = {r.job_id: r for r in results}
+        assert len(results) == 2
+        assert by_id["marker"].status == "ok"
+        assert by_id["marker"].attempts == 2
+        assert runner.telemetry.n_killed == 1
+        assert runner.telemetry.n_requeued == 1

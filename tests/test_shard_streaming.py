@@ -21,10 +21,11 @@ import pytest
 import scipy.sparse as sp
 
 from repro.core.least import LEASTConfig, LEASTResult
+from repro.exceptions import ValidationError
 from repro.graph.dag import is_dag
 from repro.serve.job import JobResult, register_solver, unregister_solver
 from repro.serve.scheduler import RelearnScheduler
-from repro.shard.executor import ShardExecutor, ShardResult
+from repro.shard.executor import ShardExecutor, ShardResult, solve_sharded
 from repro.shard.planner import ShardBlock, ShardPlan, ShardPlanner
 from repro.shard.stitcher import StitchedGraph, Stitcher
 
@@ -219,7 +220,7 @@ def test_stitched_weights_bitwise_equal_across_dispatch():
     assert plan.n_blocks >= 4
     config = {"max_outer_iterations": 3, "max_inner_iterations": 40}
 
-    def stitched(n_workers, entry, wave_blocks):
+    def stitched(n_workers, entry, wave_blocks, planner=planner, plan=plan):
         executor = ShardExecutor(
             solver="least_sparse",
             config=config,
@@ -230,8 +231,10 @@ def test_stitched_weights_bitwise_equal_across_dispatch():
         )
         if entry == "run":
             result = executor.run(data, plan, seed=0, planner=planner)
-        else:
+        elif entry == "run_stream":
             result = executor.run_stream(data, planner, seed=0)
+        else:
+            result = solve_sharded(data, planner, executor, seed=0)
         assert result.complete
         assert result.n_waves == 0
         return sp.csr_matrix(result.weights)
@@ -245,6 +248,30 @@ def test_stitched_weights_bitwise_equal_across_dispatch():
                 case = (n_workers, entry, wave_blocks)
                 assert weights.shape == reference.shape, case
                 assert np.array_equal(weights.toarray(), reference.toarray()), case
+
+    # solve_sharded on an unpartitioned planner is run() on that planner's plan.
+    flat = planner.unpartitioned()
+    flat_plan = flat.plan(data)
+    assert flat_plan.n_blocks >= 4
+    flat_reference = stitched(1, "run", None, flat, flat_plan)
+    for n_workers in (1, 2):
+        weights = stitched(n_workers, "solve_sharded", None, flat, flat_plan)
+        assert np.array_equal(weights.toarray(), flat_reference.toarray()), n_workers
+
+
+@pytest.mark.parametrize(
+    "options",
+    [
+        {"n_workers": 0},
+        {"preempt_policy": "bogus"},
+        {"timeout": -1.0},
+        {"timeout": 1.0, "soft_timeout": 2.0},
+    ],
+    ids=["n_workers", "preempt_policy", "timeout", "soft_above_hard"],
+)
+def test_bad_engine_options_rejected_at_construction(options):
+    with pytest.raises(ValidationError):
+        ShardExecutor(**options)
 
 
 def test_scheduler_shards_large_windows_and_stitches_a_dag(er2_problem):
