@@ -33,12 +33,13 @@ as ``gram_parity_ok``.  Both are gated.
 The ``sparse`` rows time LEAST-SP (``"least_sparse"``) at d ∈ {64, 1024,
 4096} on a per-node correlation support: the support's ``nnz``, seconds per
 inner iteration of a fixed-budget solve, and seconds per call of the
-spectral bound with its gradient.  The d = 64 row is a shard block: at that
+spectral bound with its gradient and of the sparse loss with its gradient
+(on the first B rows, without a prepared support).  The d = 64 row is a shard block: at that
 size an inner iteration costs numpy and scipy call overhead more than
 arithmetic, and with n = 320 > B = 256 every batch is sampled.  Each row
 also checks, in-run, that the sparse bound matches the dense bound on the
 densified support (value to rel 1e-12, gradient to atol 1e-9);
-``sparse_parity_ok`` is gated, and so is the d = 64 row's
+``sparse_parity_ok`` is gated, and so is every row's
 ``seconds_per_inner_iteration``.  The d = 4096 check holds a handful of
 dense ``d × d`` float arrays at once (about 1.5 GB).
 
@@ -106,7 +107,7 @@ SPARSE_CONFIG = {
 #: Tolerance of the per-call Gram-vs-direct loss check (value and gradient,
 #: relative to the direct form's largest magnitude).
 GRAM_REL_TOL = 1e-10
-#: Calls timed per size for the per-call bound seconds (median).
+#: Calls timed per size for the per-call bound and loss seconds (median).
 N_BOUND_CALLS = 15
 #: Calls timed per arm for the dense per-call bound seconds (median); the
 #: level-stack form takes about 1.4 s per call at d = 2048.
@@ -294,6 +295,13 @@ def run_sparse_size(n_nodes: int, scenario: dict) -> dict:
         with Timer() as timer:
             sparse_value, sparse_gradient = bound.value_and_gradient(support)
         call_seconds.append(timer.elapsed)
+    loss = LeastSquaresLoss(l1_penalty=solver.config.l1_penalty)
+    batch = data[: SPARSE_CONFIG["batch_size"]]
+    loss_seconds = []
+    for _ in range(N_BOUND_CALLS):
+        with Timer() as timer:
+            loss.sparse_value_and_gradient(support, batch)
+        loss_seconds.append(timer.elapsed)
 
     # Off the support the dense gradient is exactly 0 (it is 2 ∇_S δ ∘ W), so
     # subtracting the sparse entries in place leaves the whole difference.
@@ -317,6 +325,7 @@ def run_sparse_size(n_nodes: int, scenario: dict) -> dict:
         "solve_seconds": solve_seconds,
         "seconds_per_inner_iteration": solve_seconds / max(result.n_inner_iterations, 1),
         "bound_seconds_per_call": float(np.median(call_seconds)),
+        "loss_seconds_per_call": float(np.median(loss_seconds)),
         "value_rel_diff": value_rel_diff,
         "gradient_max_abs_diff": gradient_max_abs_diff,
         "sparse_parity_ok": sparse_parity_ok,
@@ -370,7 +379,7 @@ def main() -> dict:
 
     print_table(
         "repro.core.least_sparse on a correlation support",
-        ["d", "nnz", "inner iters", "s / inner iter", "bound s / call", "parity"],
+        ["d", "nnz", "inner iters", "s / inner iter", "bound s / call", "loss s / call", "parity"],
         [
             [
                 row["n_nodes"],
@@ -378,6 +387,7 @@ def main() -> dict:
                 row["n_inner_iterations"],
                 f"{row['seconds_per_inner_iteration'] * 1e3:.2f}ms",
                 f"{row['bound_seconds_per_call'] * 1e3:.2f}ms",
+                f"{row['loss_seconds_per_call'] * 1e3:.2f}ms",
                 "ok" if row["sparse_parity_ok"] else "FAIL",
             ]
             for row in sparse.values()

@@ -46,7 +46,12 @@ At a shard block's size (``d`` ≈ 70, a few hundred stored entries) a call
 costs numpy call overhead more than arithmetic, so the sparse passes keep it
 low.  The forward pass keeps each level's gathered ``(1/b)[rows]`` and
 ``b[indices]``, which the backward pass reuses instead of gathering them
-again.  Zero sums, subnormal balances and overflowing scales are part of the
+again.  It stores the sums and balances of all ``k + 1`` levels as rows of
+three arrays, so the backward pass computes Lemma 3's ``x`` and ``y`` and
+``1 / b²`` for every level in one element-wise call each.  Given the
+:class:`~repro.core.losses.SparseSupport` of its input, ``value_and_gradient``
+takes the entry rows from it and returns the gradient as the flat array
+aligned with ``weights.data``, building no CSR matrix.  Zero sums, subnormal balances and overflowing scales are part of the
 bound's domain, and both public entry points ignore every floating-point
 error for the length of the call: they enter one ``np.errstate`` each, for
 dense and CSR input alike, and no helper enters its own.  The caller's error
@@ -56,12 +61,16 @@ state is restored on return.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 import scipy.sparse as sp
 
 from repro.exceptions import ValidationError
 from repro.utils.validation import check_positive, check_square_matrix, check_unit_interval
+
+if TYPE_CHECKING:
+    from repro.core.losses import SparseSupport
 
 __all__ = [
     "SpectralAcyclicityBound",
@@ -191,76 +200,92 @@ def _dense_bound(dense: np.ndarray, k: int, alpha: float, with_gradient: bool):
 # ---------------------------------------------------------------------------
 
 
-def _forward_flat(s0: np.ndarray, indices: np.ndarray, indptr: np.ndarray, k: int, alpha: float):
+def _forward_flat(
+    s0: np.ndarray,
+    indices: np.ndarray,
+    indptr: np.ndarray,
+    k: int,
+    alpha: float,
+    rows: np.ndarray | None = None,
+):
     """Forward pass of the bound on the data vector ``s0`` of a CSR support.
 
-    Returns the bound, the row of every stored entry and, per level ``j``, the
-    tuple ``(S^(j) data, row sums, column sums, b^(j), (1 / b^(j))[rows],
-    b^(j)[indices])``.  The two gathers are made once here, where the next
-    level needs them, and reused by the backward pass; the last level has
-    none.
+    ``rows`` is the row of every stored entry, computed here when not given.
+    Returns the bound, ``rows`` and the levels: ``(k + 1) × d`` arrays of the
+    row sums, column sums and balances ``b^(j)``, and per level ``j < k`` the
+    tuple ``(S^(j) data, (1 / b^(j))[rows], b^(j)[indices])``.  The two
+    gathers are made once here, where the next level needs them, and reused
+    by the backward pass.
     """
     d = len(indptr) - 1
     counts = np.diff(indptr)
-    rows = np.repeat(np.arange(d), counts)
+    if rows is None:
+        rows = np.repeat(np.arange(d), counts)
     nonempty = np.flatnonzero(counts)
-    levels = []
+    row_sums, col_sums, balances = np.zeros((k + 1, d)), np.empty((k + 1, d)), np.empty((k + 1, d))
+    steps = []
     current = s0
     for j in range(k + 1):
-        row_sums = np.zeros(d)
         if nonempty.size:
-            row_sums[nonempty] = np.add.reduceat(current, indptr[nonempty])
-        col_sums = np.bincount(indices, weights=current, minlength=d)
-        balance = _safe_power(row_sums, alpha) * _safe_power(col_sums, 1.0 - alpha)
+            row_sums[j, nonempty] = np.add.reduceat(current, indptr[nonempty])
+        col_sums[j] = np.bincount(indices, weights=current, minlength=d)
+        balance = balances[j]
+        np.multiply(_safe_power(row_sums[j], alpha), _safe_power(col_sums[j], 1.0 - alpha), out=balance)
         if j == k:
-            levels.append((current, row_sums, col_sums, balance, None, None))
             break
         inverse_at_rows = _safe_divide(1.0, balance)[rows]
         balance_at_cols = balance[indices]
-        levels.append((current, row_sums, col_sums, balance, inverse_at_rows, balance_at_cols))
+        steps.append((current, inverse_at_rows, balance_at_cols))
         current = current * inverse_at_rows * balance_at_cols
-    return float(balance.sum()), rows, levels
+    return float(balance.sum()), rows, (row_sums, col_sums, balances, steps)
 
 
-def _backward_flat(rows: np.ndarray, indices: np.ndarray, levels: list, alpha: float) -> np.ndarray:
+def _backward_flat(rows: np.ndarray, indices: np.ndarray, levels: tuple, alpha: float) -> np.ndarray:
     """Reverse-mode pass of :func:`_forward_flat`: ``∇_S δ`` on the support.
 
     Reuses the forward pass's sums, balances and gathered balances; the
     gradient and every ``S^(j)`` share the support, so Eq. (7) is element-wise
-    on the data arrays.
+    on the data arrays.  The element-wise vectors of every level, Lemma 3's
+    ``x`` and ``y`` and ``1 / b²``, are computed in one call each.
     """
-    _, row_sums, col_sums, _, _, _ = levels[-1]
-    d = len(row_sums)
-    x_k, y_k = _xy_vectors(row_sums, col_sums, alpha)
-    gradient = x_k[rows] + y_k[indices]
-    for previous, row_sums, col_sums, balance, inverse_at_rows, balance_at_cols in reversed(
-        levels[:-1]
-    ):
-        x_prev, y_prev = _xy_vectors(row_sums, col_sums, alpha)
-        inverse_balance_sq = _safe_divide(1.0, balance**2)
+    row_sums, col_sums, balances, steps = levels
+    d = row_sums.shape[1]
+    x, y = _xy_vectors(row_sums, col_sums, alpha)
+    inverse_balance_sq = _safe_divide(1.0, balances[:-1] ** 2)
+    gradient = x[-1][rows] + y[-1][indices]
+    for j in range(len(steps) - 1, -1, -1):
+        previous, inverse_at_rows, balance_at_cols = steps[j]
         grad_times_prev = gradient * previous
 
         # z[i] = -Σ_q G[i,q] S[i,q] b[q] / b[i]^2 + Σ_p G[p,i] S[p,i] / b[p]
         z = np.bincount(rows, weights=-grad_times_prev * balance_at_cols, minlength=d)
-        z *= inverse_balance_sq
+        z *= inverse_balance_sq[j]
         np.add.at(z, indices, grad_times_prev * inverse_at_rows)
 
         gradient = (
             gradient * inverse_at_rows * balance_at_cols
-            + (x_prev * z)[rows]
-            + (y_prev * z)[indices]
+            + (x[j] * z)[rows]
+            + (y[j] * z)[indices]
         )
     return gradient
 
 
-def _sparse_bound(weights: sp.spmatrix, k: int, alpha: float, with_gradient: bool):
+def _sparse_bound(
+    weights: sp.spmatrix, k: int, alpha: float, with_gradient: bool, support: SparseSupport | None
+):
     """Bound and ``∇_W δ`` (zero unless ``with_gradient``) of a sparse matrix.
 
     Non-canonical input (unsorted or duplicate indices) is summed and sorted
     into a copy first.  Entries whose square is zero are not in ``S = W ∘ W``;
-    they are left out of both passes and get a zero gradient.
+    they are left out of both passes and get a zero gradient.  With a
+    ``support``, the gradient is returned as the flat array aligned with
+    ``weights.data`` instead of a CSR matrix.
     """
     weights = weights.tocsr()
+    if support is not None and (
+        support.indices is not weights.indices or not weights.has_canonical_format
+    ):
+        raise ValidationError("support must be the SparseSupport of these canonical CSR weights")
     if not weights.has_canonical_format:
         weights = weights.copy()
         weights.sum_duplicates()
@@ -268,15 +293,18 @@ def _sparse_bound(weights: sp.spmatrix, k: int, alpha: float, with_gradient: boo
     s0 = data * data
     live = s0 != 0
     indices, indptr = weights.indices, weights.indptr
+    rows = None if support is None else support.rows
     if not live.all():
-        s0, indices = s0[live], indices[live]
+        s0, indices, rows = s0[live], indices[live], None
         indptr = np.concatenate(([0], np.cumsum(live)))[indptr]
     gradient = np.zeros_like(data)
     bound = 0.0  # an empty S has all-zero sums, so the bound and gradient vanish
     if s0.size:
-        bound, rows, levels = _forward_flat(s0, indices, indptr, k, alpha)
+        bound, rows, levels = _forward_flat(s0, indices, indptr, k, alpha, rows)
         if with_gradient:
             gradient[live] = _backward_flat(rows, indices, levels, alpha) * data[live] * 2.0
+    if support is not None:
+        return bound, gradient
     return bound, sp.csr_matrix((gradient, weights.indices, weights.indptr), shape=weights.shape)
 
 
@@ -315,17 +343,25 @@ class SpectralAcyclicityBound:
         """Return ``∇_W δ^(k)(W)`` with the same storage type as ``weights``."""
         return self.value_and_gradient(weights)[1]
 
-    def value_and_gradient(self, weights):
-        """Return ``(δ^(k)(W), ∇_W δ^(k)(W))`` sharing one forward pass."""
-        return self._evaluate(weights, with_gradient=True)
+    def value_and_gradient(self, weights, support: SparseSupport | None = None):
+        """Return ``(δ^(k)(W), ∇_W δ^(k)(W))`` sharing one forward pass.
 
-    def _evaluate(self, weights, with_gradient: bool):
+        ``support`` is the :class:`~repro.core.losses.SparseSupport` of
+        canonical CSR ``weights``.  With it, the gradient is the flat array
+        aligned with ``weights.data``, and no CSR matrix is built.
+        """
+        return self._evaluate(weights, with_gradient=True, support=support)
+
+    def _evaluate(self, weights, with_gradient: bool, support: SparseSupport | None = None):
         weights = check_square_matrix(weights, "weights")
-        evaluate = _sparse_bound if sp.issparse(weights) else _dense_bound
         # The only error state of the call: at block size one per helper
         # call cost about a third of a `_safe_divide`.
         with np.errstate(all="ignore"):
-            return evaluate(weights, self.k, self.alpha, with_gradient)
+            if sp.issparse(weights):
+                return _sparse_bound(weights, self.k, self.alpha, with_gradient, support)
+            if support is not None:
+                raise ValidationError("a support applies to sparse weights only")
+            return _dense_bound(weights, self.k, self.alpha, with_gradient)
 
     def __call__(self, weights) -> float:
         return self.value(weights)

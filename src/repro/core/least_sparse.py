@@ -26,7 +26,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.core.acyclicity import SpectralAcyclicityBound, check_solver_alpha
-from repro.core.losses import LeastSquaresLoss, sample_batch
+from repro.core.losses import LeastSquaresLoss, SparseSupport, sample_batch
 from repro.core.optimizers import SparseAdamOptimizer
 from repro.exceptions import ValidationError
 from repro.utils.logging import RunLog
@@ -380,10 +380,11 @@ class SparseLEAST:
         """Sparse inner loop: Adam on the support values with hard thresholding.
 
         The support is one canonical ``(indices, indptr)`` pair that can only
-        shrink.  The bound's gradient shares it, so the bound, loss gradient
-        and Adam state are all flat arrays aligned with ``weights.data``.
-        The CSR matrix is built again only when the support shrinks; otherwise
-        the step's values are assigned to its ``data``.
+        shrink, and its :class:`SparseSupport` is built once per support.
+        The bound's gradient shares it, so the bound, loss gradient and Adam
+        state are all flat arrays aligned with ``weights.data``.  The CSR
+        matrix is built again only when the support shrinks; otherwise the
+        step's values are assigned to its ``data``.
         """
         config = self.config
         optimizer = SparseAdamOptimizer(learning_rate=config.learning_rate)
@@ -394,33 +395,32 @@ class SparseLEAST:
         weights.sum_duplicates()
         weights.eliminate_zeros()
         d = weights.shape[0]
-        rows = np.repeat(np.arange(d), np.diff(weights.indptr))
+        support = SparseSupport(weights)
 
         steps = 0
         while steps < config.max_inner_iterations and weights.nnz:
             steps += 1
             batch = sample_batch(data, config.batch_size, rng)
 
-            constraint, constraint_gradient = self._bound.value_and_gradient(weights)
-            loss_value, loss_gradient_data = self._loss.sparse_value_and_gradient(weights, batch)
-            gradient_data = (
-                loss_gradient_data + (rho * constraint + eta) * constraint_gradient.data
-            )
+            constraint, constraint_gradient = self._bound.value_and_gradient(weights, support)
+            loss_value, gradient = self._loss.sparse_value_and_gradient(weights, batch, support)
+            gradient += (rho * constraint + eta) * constraint_gradient
 
             objective = loss_value + 0.5 * rho * constraint**2 + eta * constraint
 
-            new_data = optimizer.update(weights.data, gradient_data)
+            new_data = optimizer.update(weights.data, gradient)
 
-            keep = rows != weights.indices
+            keep = ~support.diagonal
             if config.threshold > 0:
                 keep &= np.abs(new_data) >= config.threshold
             if keep.all():
                 weights.data = new_data
             else:
                 optimizer.shrink_support(keep)
-                rows, new_data, indices = rows[keep], new_data[keep], weights.indices[keep]
+                rows, new_data, indices = support.rows[keep], new_data[keep], weights.indices[keep]
                 indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=d))))
                 weights = sp.csr_matrix((new_data, indices, indptr), shape=weights.shape)
+                support = SparseSupport(weights)
 
             if np.isfinite(previous_objective):
                 denominator = max(abs(previous_objective), 1e-12)

@@ -10,7 +10,13 @@ diagonal of ``W`` is always excluded (a variable may not predict itself).
 
 Both dense gradients (full ``d × d`` matrices) and support-restricted sparse
 gradients (only the non-zero positions of a CSR matrix) are provided; the
-latter keeps LEAST-SP's memory footprint at ``O(s + B·d)``.
+latter keeps LEAST-SP's memory footprint at ``O(s + B·d)``.  The sparse
+gradient of entry ``(i, j)`` is a dot product of row ``i`` of ``Xᵀ`` with
+row ``j`` of the residual's transpose.  Both transposes are ``d × B``, and
+the rows are gathered about 256 KB of entries at a time, so no ``B × nnz``
+array is formed.  What depends on the CSR pattern alone (the row of every
+entry, the diagonal mask, the CSC transpose that ``X @ W`` multiplies by)
+is a :class:`SparseSupport`, which LEAST-SP builds once per support.
 
 The dense loss has two forms.  The *direct* form works on the samples:
 ``(2/n) Xᵀ(XW − X)`` costs two ``n × d × d`` products per call.  When every
@@ -45,7 +51,11 @@ from repro.exceptions import DimensionMismatchError, ValidationError
 from repro.utils.random import RandomState, as_generator
 from repro.utils.validation import check_non_negative, ensure_2d
 
-__all__ = ["LeastSquaresLoss", "full_batch_moments", "sample_batch"]
+__all__ = ["LeastSquaresLoss", "SparseSupport", "full_batch_moments", "sample_batch"]
+
+#: Bytes of one gathered chunk of batch rows in the sparse gradient: about
+#: 128 support entries at B = 256, so a chunk's two gathers stay in cache.
+_GATHER_BYTES = 256 * 1024
 
 
 def _covers_all_rows(batch_size: int | None, n_samples: int) -> bool:
@@ -63,6 +73,31 @@ def sample_batch(data: np.ndarray, batch_size: int | None, rng: np.random.Genera
         return data
     indices = rng.choice(n_samples, size=batch_size, replace=False)
     return data[indices]
+
+
+def _gather_chunk(n_samples: int) -> int:
+    """Support entries per gathered chunk of the sparse gradient at batch size ``n_samples``."""
+    return max(1, _GATHER_BYTES // (8 * max(n_samples, 1)))
+
+
+class SparseSupport:
+    """What the sparse loss and bound derive from a CSR pattern alone.
+
+    LEAST-SP's support only shrinks, so its inner loop builds this once per
+    support instead of on every call: the row of every stored entry, the
+    mask of diagonal entries, and ``Wᵀ`` in CSC form on the pattern's own
+    arrays (the operand of ``X @ W``).  The loss sets that matrix's ``data``
+    on every call, so one support serves one caller at a time.  It belongs
+    to the exact ``indices`` array it was built from.
+    """
+
+    __slots__ = ("indices", "rows", "diagonal", "transposed")
+
+    def __init__(self, weights: sp.csr_matrix):
+        self.indices = weights.indices
+        self.rows = np.repeat(np.arange(weights.shape[0]), np.diff(weights.indptr))
+        self.diagonal = self.rows == self.indices
+        self.transposed = weights.transpose()
 
 
 def full_batch_moments(
@@ -175,36 +210,60 @@ class LeastSquaresLoss:
     # -- sparse ---------------------------------------------------------------
 
     def sparse_value_and_gradient(
-        self, weights: sp.csr_matrix, data: np.ndarray
+        self, weights: sp.csr_matrix, data: np.ndarray, support: SparseSupport | None = None
     ) -> tuple[float, np.ndarray]:
         """Loss and support-restricted gradient for a CSR weight matrix.
 
         The returned gradient is a 1-D array aligned with the stored entries
         of ``weights.tocsr()`` (row-major, duplicates and order kept, as
         ``tocoo()`` would list them); entry ``k`` is
-        ``∂L/∂W[rows[k], cols[k]]``.
+        ``∂L/∂W[rows[k], cols[k]]``.  ``support`` is the
+        :class:`SparseSupport` of ``weights``; without it, one is built for
+        the call.
         """
         if not sp.issparse(weights):
             raise ValidationError("weights must be a scipy sparse matrix")
         csr = weights.tocsr()
         data = ensure_2d(data, "data")
         self._check_shapes(csr.shape[0], data)
+        if support is None:
+            support = SparseSupport(csr)
+        elif support.indices is not csr.indices:
+            raise ValidationError("support must be the SparseSupport of these CSR weights")
         n_samples = max(data.shape[0], 1)
 
-        predicted = data @ csr  # dense (n, d)
-        residual = predicted - data
-        smooth = float((residual**2).sum()) / n_samples
+        # XW as (WᵀXᵀ)ᵀ, the product scipy forms for `data @ csr`, kept in
+        # its (d, B) layout so that a support entry's column is a row.
+        transposed = support.transposed
+        transposed.data = csr.data
+        batch_t = np.ascontiguousarray(data.T)
+        residual_t = transposed @ batch_t
+        residual_t -= batch_t
+        # The value sums the squares in the order of the (B, d) residual.
+        squares = np.square(residual_t.T, out=np.empty(data.shape))
+        smooth = float(squares.sum()) / n_samples
+        del squares
         value = smooth + self.l1_penalty * float(np.abs(csr.data).sum())
 
-        # The row of every stored entry, without building a COO matrix.
-        rows = np.repeat(np.arange(csr.shape[0]), np.diff(csr.indptr))
-        cols = csr.indices
-        # ∂/∂W[i, j] of (1/n)||XW - X||^2 = (2/n) X[:, i] · residual[:, j]
-        gradient = (2.0 / n_samples) * np.einsum(
-            "ni,ni->i", data[:, rows], residual[:, cols]
-        )
-        gradient = gradient + self.l1_penalty * np.sign(csr.data)
-        gradient[rows == cols] = 0.0
+        # ∂/∂W[i, j] of (1/n)||XW - X||^2 = (2/n) X[:, i] · residual[:, j],
+        # gathered a cache-sized chunk of entries at a time.
+        rows, cols = support.rows, csr.indices
+        gradient = np.empty(len(rows))
+        chunk = _gather_chunk(data.shape[0])
+        data_rows = np.empty((min(chunk, len(rows)), data.shape[0]))
+        residual_cols = np.empty_like(data_rows)
+        for start in range(0, len(rows), chunk):
+            stop = min(start + chunk, len(rows))
+            size = stop - start
+            # The indices are in range; "clip" only spares `take` buffering `out`.
+            batch_t.take(rows[start:stop], axis=0, out=data_rows[:size], mode="clip")
+            residual_t.take(cols[start:stop], axis=0, out=residual_cols[:size], mode="clip")
+            np.einsum(
+                "in,in->i", data_rows[:size], residual_cols[:size], out=gradient[start:stop]
+            )
+        gradient *= 2.0 / n_samples
+        gradient += self.l1_penalty * np.sign(csr.data)
+        gradient[support.diagonal] = 0.0
         return value, gradient
 
     # -- internals -------------------------------------------------------------

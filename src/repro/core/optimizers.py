@@ -25,6 +25,32 @@ from repro.utils.validation import check_positive, check_probability
 __all__ = ["AdamOptimizer", "SGDOptimizer", "SparseAdamOptimizer"]
 
 
+def _adam_step(optimizer, parameters: np.ndarray, gradient: np.ndarray) -> np.ndarray:
+    """One Adam step of ``optimizer`` (dense or sparse) on allocated moments.
+
+    The moment estimates are updated in place, each product and sum in the
+    operand order of the formulas (``m ← β₁·m + (1-β₁)·g``), so a step
+    allocates two scratch arrays and the result, and rounds exactly as the
+    out-of-place expressions do.  ``parameters`` is not modified.
+    """
+    optimizer._step += 1
+    first, second = optimizer._first_moment, optimizer._second_moment
+    first *= optimizer.beta1
+    scratch = np.multiply(1 - optimizer.beta1, gradient)
+    first += scratch
+    second *= optimizer.beta2
+    np.multiply(gradient, gradient, out=scratch)
+    scratch *= 1 - optimizer.beta2
+    second += scratch
+    denominator = np.divide(second, 1 - optimizer.beta2**optimizer._step)
+    np.sqrt(denominator, out=denominator)
+    denominator += optimizer.epsilon
+    step = np.divide(first, 1 - optimizer.beta1**optimizer._step, out=scratch)
+    step *= optimizer.learning_rate
+    step /= denominator
+    return parameters - step
+
+
 @dataclass
 class AdamOptimizer:
     """Adam (Kingma & Ba, 2015) for dense numpy parameters.
@@ -60,13 +86,7 @@ class AdamOptimizer:
         self._second_moment = None
 
     def update(self, parameters: np.ndarray, gradient: np.ndarray) -> np.ndarray:
-        """Return the updated parameters for one Adam step.
-
-        The parameters are not modified.  The moment estimates are updated in
-        place, each product and sum in the operand order of the formulas
-        (``m ← β₁·m + (1-β₁)·g``), so a step allocates two scratch arrays and
-        the result, and rounds exactly as the out-of-place expressions do.
-        """
+        """Return the updated parameters for one Adam step (see :func:`_adam_step`)."""
         parameters = np.asarray(parameters, dtype=float)
         gradient = np.asarray(gradient, dtype=float)
         if parameters.shape != gradient.shape:
@@ -77,22 +97,7 @@ class AdamOptimizer:
             self._first_moment = np.zeros_like(parameters)
             self._second_moment = np.zeros_like(parameters)
             self._step = 0
-        self._step += 1
-        first, second = self._first_moment, self._second_moment
-        first *= self.beta1
-        scratch = np.multiply(1 - self.beta1, gradient)
-        first += scratch
-        second *= self.beta2
-        np.multiply(gradient, gradient, out=scratch)
-        scratch *= 1 - self.beta2
-        second += scratch
-        denominator = np.divide(second, 1 - self.beta2**self._step)
-        np.sqrt(denominator, out=denominator)
-        denominator += self.epsilon
-        step = np.divide(first, 1 - self.beta1**self._step, out=scratch)
-        step *= self.learning_rate
-        step /= denominator
-        return parameters - step
+        return _adam_step(self, parameters, gradient)
 
 
 @dataclass
@@ -156,7 +161,7 @@ class SparseAdamOptimizer:
         self._second_moment = None
 
     def update(self, values: np.ndarray, gradient: np.ndarray) -> np.ndarray:
-        """One Adam step on the flat value vector of the sparse matrix."""
+        """One Adam step on the flat value vector (see :func:`_adam_step`)."""
         values = np.asarray(values, dtype=float)
         gradient = np.asarray(gradient, dtype=float)
         if values.shape != gradient.shape:
@@ -166,14 +171,7 @@ class SparseAdamOptimizer:
         if self._first_moment is None or self._first_moment.shape != values.shape:
             self._first_moment = np.zeros_like(values)
             self._second_moment = np.zeros_like(values)
-        self._step += 1
-        self._first_moment = self.beta1 * self._first_moment + (1 - self.beta1) * gradient
-        self._second_moment = self.beta2 * self._second_moment + (1 - self.beta2) * gradient**2
-        corrected_first = self._first_moment / (1 - self.beta1**self._step)
-        corrected_second = self._second_moment / (1 - self.beta2**self._step)
-        return values - self.learning_rate * corrected_first / (
-            np.sqrt(corrected_second) + self.epsilon
-        )
+        return _adam_step(self, values, gradient)
 
     def shrink_support(self, keep_mask: np.ndarray) -> None:
         """Drop moment entries where ``keep_mask`` is False (support shrank)."""

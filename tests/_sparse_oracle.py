@@ -5,8 +5,9 @@ before the library moved to flat-support evaluation: every round of the
 forward pass builds a new CSR matrix, the backward pass fancy-indexes each
 level at the support, and the loop reads the bound's gradient back through
 ``[row, col]`` indexing and rebuilds its weights from COO triplets.  It keeps
-its own copies of the old numeric helpers and of the sparse least-squares
-loss (``tocoo`` plus ``einsum``), so a change to the library's cannot hide on
+its own copies of the old numeric helpers, of the sparse least-squares
+loss (``tocoo`` plus ``einsum`` over two ``B × nnz`` gathers) and of the
+out-of-place sparse Adam step, so a change to the library's cannot hide on
 both sides.  The parity tests compare the library against it; it is not
 collected by pytest.
 """
@@ -18,7 +19,6 @@ import scipy.sparse as sp
 
 from repro.core.least_sparse import SparseLEAST
 from repro.core.losses import sample_batch
-from repro.core.optimizers import SparseAdamOptimizer
 
 
 def _safe_power(values: np.ndarray, exponent: float) -> np.ndarray:
@@ -150,12 +150,39 @@ def loss_value_and_gradient(weights: sp.spmatrix, data: np.ndarray, l1_penalty: 
     return value, gradient
 
 
+class OracleSparseAdam:
+    """``SparseAdamOptimizer`` as it was: the moments are rebuilt on every step."""
+
+    def __init__(self, learning_rate: float, beta1=0.9, beta2=0.999, epsilon=1e-8):
+        self.learning_rate, self.beta1, self.beta2, self.epsilon = learning_rate, beta1, beta2, epsilon
+        self._step = 0
+        self._first_moment = self._second_moment = None
+
+    def update(self, values: np.ndarray, gradient: np.ndarray) -> np.ndarray:
+        if self._first_moment is None or self._first_moment.shape != values.shape:
+            self._first_moment = np.zeros_like(values)
+            self._second_moment = np.zeros_like(values)
+        self._step += 1
+        self._first_moment = self.beta1 * self._first_moment + (1 - self.beta1) * gradient
+        self._second_moment = self.beta2 * self._second_moment + (1 - self.beta2) * gradient**2
+        corrected_first = self._first_moment / (1 - self.beta1**self._step)
+        corrected_second = self._second_moment / (1 - self.beta2**self._step)
+        return values - self.learning_rate * corrected_first / (
+            np.sqrt(corrected_second) + self.epsilon
+        )
+
+    def shrink_support(self, keep_mask: np.ndarray) -> None:
+        if self._first_moment is not None:
+            self._first_moment = self._first_moment[keep_mask]
+            self._second_moment = self._second_moment[keep_mask]
+
+
 class OracleSparseLEAST(SparseLEAST):
     """``SparseLEAST`` whose inner loop, bound and loss are the reference versions."""
 
     def _inner(self, data, weights, rho, eta, rng):
         config = self.config
-        optimizer = SparseAdamOptimizer(learning_rate=config.learning_rate)
+        optimizer = OracleSparseAdam(learning_rate=config.learning_rate)
         previous_objective = np.inf
         objective = np.inf
 

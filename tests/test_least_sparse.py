@@ -154,3 +154,51 @@ class TestSparseLEAST:
         with pytest.raises(ValidationError, match="alpha must be > 0.*diverges"):
             SparseLEASTConfig(alpha=0.0)
         SparseLEASTConfig(alpha=1.0)
+
+
+class TestTracedCallSites:
+    """The sparse inner loop calls the public functions a per-layer timer wraps.
+
+    perfbench's collector times the bound, the loss gradient, the Adam step
+    and batch sampling by wrapping exactly these callables; if the loop
+    stopped calling one of them, its layer would silently read zero.  The
+    wrappers pass arguments and results through, so the traced fit must
+    learn the untraced fit's weights.
+    """
+
+    def test_each_phase_called_once_per_inner_iteration(self, er2_problem, monkeypatch):
+        import repro.core.least_sparse as least_sparse_module
+        from repro.core.acyclicity import SpectralAcyclicityBound
+        from repro.core.losses import LeastSquaresLoss
+        from repro.core.optimizers import SparseAdamOptimizer
+
+        config = SparseLEASTConfig(
+            max_outer_iterations=3, max_inner_iterations=40, batch_size=50, support="correlation"
+        )
+        untraced = SparseLEAST(config).fit(er2_problem["data"], seed=0)
+        counts: dict[str, int] = {}
+
+        def count(key, owner, attr):
+            original = getattr(owner, attr)
+
+            def wrapper(*args, **kwargs):
+                counts[key] = counts.get(key, 0) + 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, attr, wrapper)
+
+        count("bound", SpectralAcyclicityBound, "value_and_gradient")
+        count("bound_value", SpectralAcyclicityBound, "value")
+        count("loss", LeastSquaresLoss, "sparse_value_and_gradient")
+        count("adam", SparseAdamOptimizer, "update")
+        count("batch", least_sparse_module, "sample_batch")
+
+        result = SparseLEAST(config).fit(er2_problem["data"], seed=0)
+        inner = result.n_inner_iterations
+        assert inner > 0 and result.weights.nnz > 0
+        for key in ("bound", "loss", "adam", "batch"):
+            assert counts[key] == inner, key
+        # One plain bound evaluation per outer iteration, after its loop.
+        assert counts["bound_value"] == result.n_outer_iterations
+        for attr in ("indices", "indptr", "data"):
+            np.testing.assert_array_equal(getattr(result.weights, attr), getattr(untraced.weights, attr))

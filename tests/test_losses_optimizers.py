@@ -155,6 +155,30 @@ class TestSparseAdam:
         # Next update with the shrunk vector must be consistent.
         optimizer.update(values[keep], values[keep])
 
+    def test_steps_match_the_out_of_place_formula_bitwise(self):
+        from _sparse_oracle import OracleSparseAdam
+
+        rng = np.random.default_rng(9)
+        optimizer = SparseAdamOptimizer(learning_rate=0.02)
+        oracle = OracleSparseAdam(learning_rate=0.02)
+        values = expected = rng.normal(size=40)
+        for step in range(8):
+            if step == 4:
+                keep = rng.random(len(values)) < 0.7
+                optimizer.shrink_support(keep)
+                oracle.shrink_support(keep)
+                values, expected = values[keep], expected[keep]
+            gradient = rng.normal(size=len(values))
+            before, moments = values.copy(), optimizer._first_moment
+            updated = optimizer.update(values, gradient)
+            np.testing.assert_array_equal(values, before)  # parameters untouched
+            assert not np.shares_memory(updated, values)
+            if moments is not None:
+                assert optimizer._first_moment is moments  # updated in place
+            expected = oracle.update(expected, gradient)
+            np.testing.assert_array_equal(updated, expected)
+            values = updated
+
     def test_shrink_before_any_update_is_noop(self):
         optimizer = SparseAdamOptimizer()
         optimizer.shrink_support(np.array([True]))

@@ -4,7 +4,9 @@
 entry off ``indptr``.  ``_sparse_oracle.loss_value_and_gradient`` is the
 version that built a COO matrix for it; the fit-parity tests run the oracle
 loop on it, and these tests pin the two call for call, including on CSR
-input whose indices are unsorted or repeated within a row.
+input whose indices are unsorted or repeated within a row.  The library
+gathers the support a chunk of entries at a time, so the tests also pin
+every chunk boundary.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import pytest
 import scipy.sparse as sp
 
 from _sparse_oracle import loss_value_and_gradient
-from repro.core.losses import LeastSquaresLoss
+from repro.core.losses import _GATHER_BYTES, LeastSquaresLoss, _gather_chunk
 
 L1_PENALTIES = [0.0, 0.05]
 
@@ -89,3 +91,38 @@ def test_empty_rows_and_explicit_zeros():
     weights.data[::4] = 0.0  # explicit zeros keep their slot
     assert (np.diff(weights.indptr) == 0).any()
     _assert_matches_oracle(weights, rng.normal(size=(30, 20)), 0.05)
+
+
+def _unordered_support(rng: np.random.Generator, d: int, nnz: int) -> sp.csr_matrix:
+    """``nnz`` stored entries at random rows and columns, diagonal included.
+
+    Within a row the columns keep their random order and may repeat, so any
+    support of more than a few entries is unsorted and has duplicates.
+    """
+    rows = np.sort(rng.integers(0, d, nnz))
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=d))))
+    return sp.csr_matrix((rng.normal(size=nnz), rng.integers(0, d, nnz), indptr), shape=(d, d))
+
+
+def _chunk_boundary_sizes(chunk: int) -> list[int]:
+    return [0, 1, chunk - 1, chunk, chunk + 1, 3 * chunk + chunk // 2 + 1]
+
+
+@pytest.mark.parametrize("n_samples", [1, 256, 1000])
+@pytest.mark.parametrize("position", range(6))
+def test_chunk_boundaries_match_oracle(n_samples, position):
+    """The gradient is gathered a chunk of entries at a time; every boundary is exact."""
+    chunk = _gather_chunk(n_samples)
+    nnz = _chunk_boundary_sizes(chunk)[position]
+    rng = np.random.default_rng(100 * n_samples + position)
+    weights = _unordered_support(rng, 50, nnz)
+    assert weights.nnz == nnz
+    if nnz > 100:
+        assert not weights.has_sorted_indices and not weights.has_canonical_format
+    _assert_matches_oracle(weights, rng.normal(size=(n_samples, 50)), 0.05)
+
+
+def test_chunk_sizes_follow_the_byte_budget():
+    assert _gather_chunk(256) == 128
+    assert _gather_chunk(1) * 8 == _GATHER_BYTES
+    assert _gather_chunk(10**7) == 1

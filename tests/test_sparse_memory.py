@@ -10,7 +10,9 @@ fails loudly.  (numpy and scipy route array buffers through the traced
 Python allocator, so tracemalloc sees them.)
 
 The sharded solve runs inline (one worker, no deadline) so every allocation
-happens in this process, under the tracer.
+happens in this process, under the tracer.  One call of the sparse loss is
+gated on its own: it must hold ``O(B·d)`` plus a chunk of gathered rows,
+not the two ``B × nnz`` gathers it once made.
 """
 
 from __future__ import annotations
@@ -21,6 +23,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from repro.core.least_sparse import correlation_support
+from repro.core.losses import _GATHER_BYTES, LeastSquaresLoss
 from repro.graph.dag import is_dag
 from repro.serve.warm_start import WarmStartState, prepare_init
 from repro.shard import ShardExecutor, ShardPlanner
@@ -126,3 +130,29 @@ def test_sparse_warm_start_alignment_stays_sparse_and_small():
         f"CSR warm-start alignment peaked at {peak / 2**20:.1f} MiB — "
         "the sparse path must never densify"
     )
+
+
+def test_loss_memory_is_bounded_by_the_batch_not_the_support():
+    """One call holds O(B·d) plus a chunk of gathered rows, never B × nnz.
+
+    At d = 1024 with a six-parent correlation support (nnz 6,144) and
+    B = 256, two B × nnz gathers would take 25 MB; the batch is 2 MB.
+    """
+    rng = np.random.default_rng(0)
+    data = rng.normal(size=(1024, 1024))
+    weights = correlation_support(data, max_parents=6, rng=rng)
+    batch = data[:256]
+    n_samples, d = batch.shape
+    assert weights.nnz >= 6000
+    loss = LeastSquaresLoss(l1_penalty=0.05)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        loss.sparse_value_and_gradient(weights, batch)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    batch_bytes = 8 * n_samples * d
+    gathers_bytes = 2 * 8 * n_samples * weights.nnz
+    assert peak <= 4 * batch_bytes + 2 * _GATHER_BYTES
+    assert peak < gathers_bytes / 2
