@@ -380,11 +380,10 @@ class SparseLEAST:
         """Sparse inner loop: Adam on the support values with hard thresholding.
 
         The support is one canonical ``(indices, indptr)`` pair that can only
-        shrink, and its :class:`SparseSupport` is built once per support.
-        The bound's gradient shares it, so the bound, loss gradient and Adam
-        state are all flat arrays aligned with ``weights.data``.  The CSR
-        matrix is built again only when the support shrinks; otherwise the
-        step's values are assigned to its ``data``.
+        shrink.  Its :class:`SparseSupport` is built once and derived again on
+        each shrink, which also masks the CSR matrix's arrays in place.  The
+        bound's gradient shares it, so the bound, loss gradient and Adam
+        state are all flat arrays aligned with ``weights.data``.
         """
         config = self.config
         optimizer = SparseAdamOptimizer(learning_rate=config.learning_rate)
@@ -394,7 +393,6 @@ class SparseLEAST:
         weights = weights.tocsr().copy()
         weights.sum_duplicates()
         weights.eliminate_zeros()
-        d = weights.shape[0]
         support = SparseSupport(weights)
 
         steps = 0
@@ -413,14 +411,10 @@ class SparseLEAST:
             keep = ~support.diagonal
             if config.threshold > 0:
                 keep &= np.abs(new_data) >= config.threshold
-            if keep.all():
-                weights.data = new_data
-            else:
+            weights.data = new_data
+            if not keep.all():
                 optimizer.shrink_support(keep)
-                rows, new_data, indices = support.rows[keep], new_data[keep], weights.indices[keep]
-                indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=d))))
-                weights = sp.csr_matrix((new_data, indices, indptr), shape=weights.shape)
-                support = SparseSupport(weights)
+                support = support.shrink(weights, keep)
 
             if np.isfinite(previous_objective):
                 denominator = max(abs(previous_objective), 1e-12)

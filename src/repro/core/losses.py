@@ -83,12 +83,13 @@ def _gather_chunk(n_samples: int) -> int:
 class SparseSupport:
     """What the sparse loss and bound derive from a CSR pattern alone.
 
-    LEAST-SP's support only shrinks, so its inner loop builds this once per
-    support instead of on every call: the row of every stored entry, the
-    mask of diagonal entries, and ``Wᵀ`` in CSC form on the pattern's own
-    arrays (the operand of ``X @ W``).  The loss sets that matrix's ``data``
-    on every call, so one support serves one caller at a time.  It belongs
-    to the exact ``indices`` array it was built from.
+    LEAST-SP's support only shrinks, so its inner loop builds this once and
+    derives each smaller support from it (:meth:`shrink`) instead of
+    rebuilding it on every call: the row of every stored entry, the mask of
+    diagonal entries, and ``Wᵀ`` in CSC form on the pattern's own arrays
+    (the operand of ``X @ W``).  The loss sets that matrix's ``data`` on
+    every call, so one support serves one caller at a time.  It belongs to
+    the exact ``indices`` array it was built from.
     """
 
     __slots__ = ("indices", "rows", "diagonal", "transposed")
@@ -98,6 +99,31 @@ class SparseSupport:
         self.rows = np.repeat(np.arange(weights.shape[0]), np.diff(weights.indptr))
         self.diagonal = self.rows == self.indices
         self.transposed = weights.transpose()
+
+    def shrink(self, weights: sp.csr_matrix, keep: np.ndarray) -> "SparseSupport":
+        """Drop the entries where ``keep`` is False from ``weights``, in place.
+
+        ``weights`` is the matrix of this support.  Its ``data``, ``indices``
+        and ``indptr`` become the kept entries, which stay canonical, and the
+        returned support is derived from this one: ``rows[keep]``, the
+        diagonal mask and ``Wᵀ`` with its index arrays replaced, all without
+        scipy's format checks.  This support is spent afterwards.
+        """
+        shrunk = SparseSupport.__new__(SparseSupport)
+        shrunk.rows = self.rows[keep]
+        shrunk.diagonal = self.diagonal[keep]
+        shrunk.indices = weights.indices = self.indices[keep]
+        weights.data = weights.data[keep]
+        counts = np.bincount(shrunk.rows, minlength=weights.shape[0])
+        weights.indptr = np.zeros_like(weights.indptr)
+        np.cumsum(counts, out=weights.indptr[1:])
+        transposed = shrunk.transposed = self.transposed
+        transposed.data, transposed.indices, transposed.indptr = (
+            weights.data,
+            weights.indices,
+            weights.indptr,
+        )
+        return shrunk
 
 
 def full_batch_moments(

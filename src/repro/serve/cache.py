@@ -57,8 +57,11 @@ __all__ = [
 #: its loss from the moments of the samples (see
 #: :func:`repro.core.losses.full_batch_moments`).  Version 3: the dense
 #: spectral bound sums its levels through matrix-vector products with
-#: ``W ∘ W`` instead of ``d × d`` level matrices.
-SOLVER_NUMERICS_VERSION = 3
+#: ``W ∘ W`` instead of ``d × d`` level matrices.  Version 4: every served
+#: solve runs on one BLAS thread (:func:`repro.utils.blas.single_blas_thread`),
+#: so dense weights served on a host with more BLAS threads change by
+#: rounding.
+SOLVER_NUMERICS_VERSION = 4
 
 
 def _update_with_array(digest: "hashlib._Hash", array: np.ndarray) -> None:

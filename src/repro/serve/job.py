@@ -38,6 +38,7 @@ from repro.core.backend import (
 )
 from repro.core.backend import solver_names as solver_names
 from repro.exceptions import ValidationError
+from repro.utils.blas import single_blas_thread
 from repro.utils.timer import Timer
 from repro.utils.validation import ensure_2d
 
@@ -353,39 +354,50 @@ def execute_job(
     wrapped in a ``solve`` span and the backend's per-outer-iteration hooks
     emit one ``outer_iter`` child span per iteration, so solver-internal time
     decomposes in the merged trace.
+
+    Data resolution and the solve run on one BLAS thread
+    (:func:`repro.utils.blas.single_blas_thread`), pooled or inline: the
+    served weights then do not depend on the host's thread count, and pool
+    workers do not oversubscribe the cores.  The caller's count is restored
+    on return; the ``solve`` span records the pinned count as
+    ``blas_threads`` (None when no OpenBLAS is loaded).
     """
     from repro.obs import OuterIterationSpans, current_tracer
 
-    if data is None:
-        data = job.resolve_data()
-    backend = job.build_backend()
     tracer = current_tracer()
     extra_hooks = list(deadline_hooks) if deadline_hooks else []
     timer = Timer()
-    if tracer is None:
-        with timer:
-            result = backend.fit(
-                data,
-                init_weights=job.init_weights,
-                deadline_hooks=extra_hooks or None,
-                rng=job.seed,
-            )
-    else:
-        with tracer.span(
-            "solve", job_id=job.job_id or job.describe(), solver=job.solver
-        ) as span:
-            hook = OuterIterationSpans(tracer, parent=span)
+    with single_blas_thread() as blas_threads:
+        if data is None:
+            data = job.resolve_data()
+        backend = job.build_backend()
+        if tracer is None:
             with timer:
                 result = backend.fit(
                     data,
                     init_weights=job.init_weights,
-                    deadline_hooks=[hook, *extra_hooks],
+                    deadline_hooks=extra_hooks or None,
                     rng=job.seed,
                 )
-            span.set_attributes(
-                n_outer_iterations=int(result.n_outer_iterations),
-                converged=bool(result.converged),
-            )
+        else:
+            with tracer.span(
+                "solve",
+                job_id=job.job_id or job.describe(),
+                solver=job.solver,
+                blas_threads=blas_threads,
+            ) as span:
+                hook = OuterIterationSpans(tracer, parent=span)
+                with timer:
+                    result = backend.fit(
+                        data,
+                        init_weights=job.init_weights,
+                        deadline_hooks=[hook, *extra_hooks],
+                        rng=job.seed,
+                    )
+                span.set_attributes(
+                    n_outer_iterations=int(result.n_outer_iterations),
+                    converged=bool(result.converged),
+                )
     return JobResult(
         job_id=job.job_id or job.describe(),
         solver=job.solver,

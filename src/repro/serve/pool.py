@@ -59,6 +59,7 @@ import repro.core.backend as backend_module
 from repro.exceptions import SoftDeadlineExceeded, ValidationError
 from repro.obs import NDJSONFileSink, ResourceSampler, Span, Tracer, activated, merge_spool
 from repro.serve.job import JobResult, LearningJob, execute_job
+from repro.utils.blas import stop_blas_threads
 
 __all__ = [
     "PREEMPT_POLICIES",
@@ -268,7 +269,12 @@ def _pool_worker(conn, solver_registry: dict, worker_index: int) -> None:
     The per-job suicide timer is armed on receipt and disarmed after the
     solve, so an idle pool worker never kills itself; a worker whose parent
     died sees EOF on the pipe and exits.
+
+    Every job solves on one BLAS thread (:func:`execute_job`), so a spawned
+    worker joins the BLAS helper threads its numpy import started; a forked
+    one has none.
     """
+    stop_blas_threads()
     backend_module.restore_registry(solver_registry)
     try:
         conn.send(("ready", os.getpid()))

@@ -23,6 +23,7 @@ from repro.serve.scheduler import RelearnScheduler
 from repro.serve.streaming import StreamingRunner
 from repro.shard.executor import ShardExecutor, solve_sharded
 from repro.shard.planner import ShardPlanner
+from repro.utils.blas import single_blas_thread
 
 FAST_CONFIG = {"max_outer_iterations": 3, "max_inner_iterations": 40}
 
@@ -44,6 +45,12 @@ def _by_name(tracer: Tracer) -> dict[str, list[dict]]:
 
 def _ids(spans: list[dict]) -> set[str]:
     return {span["span_id"] for span in spans}
+
+
+def _pinned_blas_threads() -> int | None:
+    """What a solve span reports: 1 with OpenBLAS loaded, else None."""
+    with single_blas_thread() as pinned:
+        return pinned
 
 
 @dataclass(frozen=True)
@@ -118,6 +125,7 @@ class TestTracedInlinePath:
         solve = _by_name(tracer)["solve"][0]
         assert solve["attributes"]["n_outer_iterations"] >= 1
         assert "converged" in solve["attributes"]
+        assert solve["attributes"]["blas_threads"] == _pinned_blas_threads()
 
     def test_cache_hit_and_store_spans(self):
         tracer = Tracer()
@@ -179,6 +187,8 @@ class TestTracedWorkerPath:
         assert all(s["parent_id"] is None for s in by_name["worker_spawn"])
         worker_ids = _ids(by_name["worker"])
         assert all(s["parent_id"] in worker_ids for s in by_name["solve"])
+        pinned = _pinned_blas_threads()
+        assert all(s["attributes"]["blas_threads"] == pinned for s in by_name["solve"])
         # The spawn gap is the launch→ready interval, a real positive
         # duration — the number the throughput benchmark pins.
         for spawn in by_name["worker_spawn"]:

@@ -74,3 +74,63 @@ def test_support_of_another_pattern_is_rejected():
         LeastSquaresLoss().sparse_value_and_gradient(weights, np.ones((4, 30)), support)
     with pytest.raises(ValidationError, match="sparse weights only"):
         SpectralAcyclicityBound().value_and_gradient(weights.toarray(), SparseSupport(weights))
+
+
+def _assert_same_support(derived: SparseSupport, fresh: SparseSupport) -> None:
+    np.testing.assert_array_equal(derived.rows, fresh.rows)
+    np.testing.assert_array_equal(derived.diagonal, fresh.diagonal)
+    np.testing.assert_array_equal(derived.indices, fresh.indices)
+    for name in ("indices", "indptr"):
+        got, want = getattr(derived.transposed, name), getattr(fresh.transposed, name)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+    assert derived.transposed.shape == fresh.transposed.shape
+
+
+def test_shrunk_support_equals_a_freshly_built_one():
+    rng = np.random.default_rng(6)
+    weights = _weights(6)
+    support = SparseSupport(weights)
+    dense = weights.toarray()
+    while weights.nnz:
+        keep = rng.random(weights.nnz) < 0.7
+        coo = weights.tocoo()
+        dense[coo.row[~keep], coo.col[~keep]] = 0.0
+        support = support.shrink(weights, keep)
+        fresh = sp.csr_matrix(dense)
+        assert support.indices is weights.indices
+        assert weights.has_canonical_format
+        for name in ("data", "indices", "indptr"):
+            got, want = getattr(weights, name), getattr(fresh, name)
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+        _assert_same_support(support, SparseSupport(fresh))
+        np.testing.assert_array_equal(support.transposed.toarray(), dense.T)
+    # Shrunk to nothing: an empty but valid support.
+    assert support.rows.size == 0 and support.transposed.nnz == 0
+    _assert_same_support(support, SparseSupport(sp.csr_matrix(dense)))
+
+
+def test_shrink_to_empty_at_once():
+    weights = _weights(7)
+    support = SparseSupport(weights).shrink(weights, np.zeros(weights.nnz, dtype=bool))
+    assert weights.nnz == 0 and not weights.toarray().any()
+    _assert_same_support(support, SparseSupport(sp.csr_matrix(weights.shape)))
+
+
+def test_shrunk_support_serves_the_loss_and_bound():
+    weights = _weights(8)
+    data = np.random.default_rng(9).normal(size=(40, 30))
+    keep = np.random.default_rng(10).random(weights.nnz) < 0.5
+    support = SparseSupport(weights).shrink(weights, keep)
+    fresh = sp.csr_matrix(weights.toarray())
+    loss = LeastSquaresLoss(l1_penalty=0.05)
+    value, gradient = loss.sparse_value_and_gradient(weights, data, support)
+    expected = loss.sparse_value_and_gradient(fresh, data)
+    assert value == expected[0]
+    np.testing.assert_array_equal(gradient, expected[1])
+    bound = SpectralAcyclicityBound(k=3, alpha=0.9)
+    flat_value, flat_gradient = bound.value_and_gradient(weights, support)
+    csr_value, csr_gradient = bound.value_and_gradient(fresh)
+    assert flat_value == csr_value
+    np.testing.assert_array_equal(flat_gradient, csr_gradient.data)
