@@ -120,13 +120,13 @@ N_REPEATS = 2
 OUTPUT_PATH = _REPO_ROOT / "BENCH_backend.json"
 
 
-def _solve(solver_class, data: np.ndarray, config: LEASTConfig, seed: int):
+def _solve(solver_type, data: np.ndarray, config: LEASTConfig, seed: int):
     """One timed solve; returns (result, best-of-N seconds)."""
     repeats = N_REPEATS if data.shape[1] < 2048 else 1
     best = float("inf")
     result = None
     for _ in range(repeats):
-        solver = solver_class(config)
+        solver = solver_type(config)
         with Timer() as timer:
             result = solver.fit(data, seed=seed)
         best = min(best, timer.elapsed)

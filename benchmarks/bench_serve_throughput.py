@@ -40,12 +40,17 @@ import numpy as np
 import pytest
 
 from benchmarks.helpers import append_bench_history, print_table
+from repro.core.backend import (
+    BackendSpec,
+    SolveResult,
+    register_backend,
+    unregister_backend,
+)
 from repro.core.least import LEASTConfig
 from repro.monitoring import BookingSimulator, Incident, MonitoringPipeline
 from repro.obs import NDJSONFileSink, TraceModel, Tracer, validate_trace, wall_clock_section
 from repro.obs.sampler import is_supported as sampling_supported
 from repro.serve import InMemoryCache, LearningJob, StreamingRunner
-from repro.serve.job import register_solver, unregister_solver
 from repro.shard.executor import ShardExecutor
 from repro.shard.planner import ShardPlanner
 from repro.utils.timer import Timer
@@ -62,18 +67,19 @@ class _HangConfig:
     duration: float = 300.0
 
 
-class _HangSolver:
+class _HangBackend:
     """A solver that sleeps far past any deadline (module-level: picklable)."""
+
+    name = "bench-hang"
 
     def __init__(self, config: _HangConfig):
         self.config = config
 
-    def fit(self, data, seed=None):
+    def fit(self, data, *, init_weights=None, deadline_hooks=None, rng=None):
         time.sleep(self.config.duration)
-        from repro.core.least import LEASTResult
-
         d = data.shape[1]
-        return LEASTResult(
+        return SolveResult(
+            solver=self.name,
             weights=np.zeros((d, d)),
             constraint_value=0.0,
             converged=True,
@@ -221,7 +227,12 @@ def test_streaming_time_to_first_result(benchmark):
 def test_preemption_kills_hanging_job_and_streams_survivors(benchmark):
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)  # keep this test active under --benchmark-only
     deadline = 6.0
-    register_solver("bench-hang", _HangSolver, _HangConfig, overwrite=True)
+    register_backend(
+        BackendSpec(
+            name="bench-hang", backend_class=_HangBackend, config_class=_HangConfig
+        ),
+        overwrite=True,
+    )
     try:
         hanging = LearningJob(
             solver="bench-hang", data=np.zeros((4, 3)), config={"duration": 300.0}
@@ -244,7 +255,7 @@ def test_preemption_kills_hanging_job_and_streams_survivors(benchmark):
             statuses[result.job_id] = result.status
         total = timer.stop()
     finally:
-        unregister_solver("bench-hang")
+        unregister_backend("bench-hang")
 
     survivor_ids = [job_id for job_id in statuses if job_id != "job-000"]
     last_survivor = max(arrivals[job_id] for job_id in survivor_ids)

@@ -12,14 +12,13 @@ stack through the same narrow interface:
   :meth:`SolveResult.sparse_weights` explicitly, so accidental densification
   of a 100k-node solve shows up as a grep-able call site;
 * :func:`make_solver` — the factory that builds a configured backend from a
-  registered name plus config overrides, replacing the ad-hoc
-  ``(solver_class, config_class)`` tuples that :mod:`repro.serve.job` used to
-  keep.
+  registered name plus config overrides.
 
 The registry is *live*: :func:`register_backend` /
-:func:`unregister_backend` (and the legacy-shaped
-:func:`repro.serve.job.register_solver`) take effect immediately for
-:func:`solver_names`, :func:`make_solver`, job validation, and CLI help.
+:func:`unregister_backend` take effect immediately for :func:`solver_names`,
+:func:`make_solver`, job validation, and CLI help.  A custom solver joins it
+the same way the built-ins do: a :class:`SolverBackend` class plus its config
+dataclass, wrapped in a :class:`BackendSpec`.
 
 Why a protocol and not a base class: the three built-in solvers keep their
 paper-shaped native APIs (``LEAST.fit(data, seed, init_weights)``,
@@ -32,7 +31,7 @@ must be solver-agnostic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
-from typing import Any, Callable, Iterable, Mapping, Protocol, Sequence, runtime_checkable
+from typing import Any, Callable, Mapping, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 import scipy.sparse as sp
@@ -51,7 +50,6 @@ __all__ = [
     "LEASTBackend",
     "SparseLEASTBackend",
     "NOTEARSBackend",
-    "LegacyBackend",
     "make_solver",
     "solver_names",
     "get_spec",
@@ -191,7 +189,6 @@ class LEASTBackend:
     """Dense LEAST behind the :class:`SolverBackend` protocol."""
 
     name = "least"
-    sparse = False
 
     def __init__(self, config: LEASTConfig | None = None) -> None:
         self.config = config or LEASTConfig()
@@ -229,7 +226,6 @@ class SparseLEASTBackend:
     """LEAST-SP (CSR end to end) behind the :class:`SolverBackend` protocol."""
 
     name = "least_sparse"
-    sparse = True
 
     def __init__(self, config: SparseLEASTConfig | None = None) -> None:
         self.config = config or SparseLEASTConfig()
@@ -266,7 +262,6 @@ class NOTEARSBackend:
     """The NOTEARS baseline behind the :class:`SolverBackend` protocol."""
 
     name = "notears"
-    sparse = False
 
     def __init__(self, config: NOTEARSConfig | None = None) -> None:
         self.config = config or NOTEARSConfig()
@@ -296,53 +291,6 @@ class NOTEARSBackend:
         )
 
 
-class LegacyBackend:
-    """Adapter wrapping a ``(solver_class, config_class)`` pair as a backend.
-
-    This is what :func:`repro.serve.job.register_solver` produces, keeping
-    the original extension contract working: ``solver_class(config)`` must
-    expose ``fit(data, seed=..., [init_weights=...])`` returning an object
-    with ``weights``, ``constraint_value``, ``converged`` and
-    ``n_outer_iterations`` attributes.  Deadline hooks are invoked once
-    before the solve (legacy solvers expose no per-iteration callback).
-    """
-
-    sparse = False
-
-    def __init__(self, config: Any, *, name: str, solver_class: type) -> None:
-        self.config = config
-        self.name = name
-        self.solver_class = solver_class
-
-    def fit(
-        self,
-        data,
-        *,
-        init_weights: np.ndarray | sp.spmatrix | None = None,
-        deadline_hooks: Sequence[DeadlineHook] | None = None,
-        rng: RandomState = None,
-    ) -> SolveResult:
-        """Instantiate the wrapped solver, run its native ``fit``, and wrap
-        the outcome in a :class:`SolveResult`."""
-        for hook in deadline_hooks or ():
-            hook()
-        solver = self.solver_class(self.config)
-        if init_weights is not None:
-            raw = solver.fit(data, seed=rng, init_weights=init_weights)
-        else:
-            raw = solver.fit(data, seed=rng)
-        return SolveResult(
-            solver=self.name,
-            weights=raw.weights,
-            constraint_value=float(raw.constraint_value),
-            converged=bool(raw.converged),
-            n_outer_iterations=int(raw.n_outer_iterations),
-            n_inner_iterations=int(getattr(raw, "n_inner_iterations", 0)),
-            elapsed_seconds=float(getattr(raw, "elapsed_seconds", 0.0)),
-            log=getattr(raw, "log", None) or RunLog(),
-        )
-
-
 @dataclass(frozen=True)
 class BackendSpec:
     """One registry entry: how to build a backend and what it promises.
@@ -353,13 +301,9 @@ class BackendSpec:
         Registered solver name.
     backend_class:
         The :class:`SolverBackend` implementation; constructed as
-        ``backend_class(config)`` (or, for legacy specs, as
-        ``backend_class(config, name=..., solver_class=...)``).
+        ``backend_class(config)``.
     config_class:
         Dataclass of the backend's hyper-parameters.
-    solver_class:
-        Set only for legacy specs registered through
-        :func:`repro.serve.job.register_solver`.
     supports_init_weights:
         False for solvers that cannot warm-start (jobs carrying
         ``init_weights`` are rejected up front).
@@ -372,7 +316,6 @@ class BackendSpec:
     name: str
     backend_class: type
     config_class: type
-    solver_class: type | None = None
     supports_init_weights: bool = True
     sparse: bool = False
 
@@ -387,10 +330,6 @@ class BackendSpec:
                 ) from exc
         elif overrides:
             config = replace(config, **overrides)
-        if self.solver_class is not None:
-            return self.backend_class(
-                config, name=self.name, solver_class=self.solver_class
-            )
         return self.backend_class(config)
 
 
@@ -415,12 +354,9 @@ _BACKENDS: dict[str, BackendSpec] = {
 
 
 def solver_names() -> tuple[str, ...]:
-    """The currently registered solver names, sorted — computed on access.
-
-    Unlike the old ``SOLVER_NAMES`` module constant (frozen at import time),
-    this reflects every :func:`register_backend` / :func:`unregister_backend`
-    call made since.
-    """
+    """The currently registered solver names, sorted — computed on access,
+    so it reflects every :func:`register_backend` / :func:`unregister_backend`
+    call made since."""
     return tuple(sorted(_BACKENDS))
 
 
@@ -505,16 +441,6 @@ def restore_registry(snapshot: Mapping[str, BackendSpec]) -> None:
     _BACKENDS.update(snapshot)
 
 
-def config_overrides(config: Any, exclude: Iterable[str] = ("init_weights",)) -> dict:
-    """JSON-able field dict of a config dataclass (for job manifests).
-
-    ``exclude`` drops fields that are not plain values (the dense LEAST
-    config carries an optional ``init_weights`` matrix that must travel as a
-    job attribute, not config).
-    """
-    excluded = set(exclude)
-    return {
-        f.name: getattr(config, f.name)
-        for f in fields(config)
-        if f.name not in excluded
-    }
+def config_overrides(config: Any) -> dict:
+    """JSON-able field dict of a config dataclass (for job manifests)."""
+    return {f.name: getattr(config, f.name) for f in fields(config)}

@@ -159,13 +159,9 @@ class LEASTConfig:
         of grid-searching the stopping tolerance ε (see
         :func:`repro.core.model_selection.grid_search_epsilon_tau`) without
         re-running the solver.
-    init_weights:
-        Optional explicit initial weight matrix.  When given it replaces the
-        random sparse initialization, which is how the serving layer
-        (:mod:`repro.serve.warm_start`) re-learns a window starting from the
-        previous window's solution instead of from scratch.  The per-call
-        ``init_weights`` argument of :meth:`LEAST.fit` takes precedence over
-        this field.
+
+    A warm start is not configuration: it is the ``init_weights`` argument of
+    :meth:`LEAST.fit` (or :attr:`repro.serve.job.LearningJob.init_weights`).
     """
 
     k: int = 5
@@ -186,7 +182,6 @@ class LEASTConfig:
     warm_start: bool = True
     track_h: bool = False
     keep_history: bool = False
-    init_weights: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.k < 0:
@@ -203,12 +198,6 @@ class LEASTConfig:
         check_positive(self.rho_growth, "rho_growth")
         check_positive(self.rho_max, "rho_max")
         check_non_negative(self.eta_start, "eta_start")
-        if self.init_weights is not None:
-            init = np.asarray(self.init_weights)
-            if init.ndim != 2 or init.shape[0] != init.shape[1]:
-                raise ValidationError(
-                    f"init_weights must be a square matrix, got shape {init.shape}"
-                )
 
 
 @dataclass
@@ -277,8 +266,8 @@ class LEAST:
         Parameters
         ----------
         init_weights:
-            Optional warm-start matrix overriding both the random sparse
-            initialization and ``config.init_weights``; it must be ``d × d``.
+            Optional warm-start matrix replacing the random sparse
+            initialization; it must be ``d × d``.
             Used by :mod:`repro.serve` to seed a re-learn with the previous
             window's solution.
         on_outer_iteration:
@@ -292,11 +281,10 @@ class LEAST:
         config = self.config
         d = data.shape[1]
 
-        explicit_init = init_weights if init_weights is not None else config.init_weights
         rho = config.rho_start
         eta = config.eta_start
-        if explicit_init is not None:
-            weights = self._prepare_init(explicit_init, d)
+        if init_weights is not None:
+            weights = self._prepare_init(init_weights, d)
         else:
             weights = self._initialize(d, rng)
         log = RunLog()
@@ -309,7 +297,7 @@ class LEAST:
         outer_iteration = 0
         total_inner = 0
         for outer_iteration in range(1, config.max_outer_iterations + 1):
-            if not config.warm_start and (explicit_init is None or outer_iteration > 1):
+            if not config.warm_start and (init_weights is None or outer_iteration > 1):
                 weights = self._initialize(d, rng)
             weights, constraint, inner_loss, inner_steps = self._inner(
                 data, weights, rho, eta, rng, moments

@@ -49,21 +49,7 @@ from repro.serve.cache import (
     fingerprint_config,
     job_fingerprint,
 )
-from repro.serve.job import (
-    JobResult,
-    LearningJob,
-    execute_job,
-    register_solver,
-    solver_names,
-    unregister_solver,
-)
-
-
-def __getattr__(name: str):
-    """Serve ``SOLVER_NAMES`` live from the backend registry (never stale)."""
-    if name == "SOLVER_NAMES":
-        return solver_names()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+from repro.serve.job import JobResult, LearningJob, execute_job, solver_names
 from repro.serve.daemon import ServeDaemon
 from repro.serve.pool import PoolJob, SoftDeadlineExceeded, WorkerPool
 from repro.serve.scheduler import RelearnScheduler, WindowStats
@@ -81,13 +67,10 @@ from repro.serve.warm_start import (
 )
 
 __all__ = [
-    "SOLVER_NAMES",
     "solver_names",
     "LearningJob",
     "JobResult",
     "execute_job",
-    "register_solver",
-    "unregister_solver",
     "BatchReport",
     "StreamingRunner",
     "StreamSession",

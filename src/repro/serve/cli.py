@@ -72,7 +72,8 @@ import numpy as np
 from repro.exceptions import ValidationError
 from repro.serve.cache import DiskCache
 from repro.serve.job import JobResult, LearningJob, solver_names
-from repro.serve.streaming import PREEMPT_POLICIES, StreamingRunner
+from repro.serve.pool import PREEMPT_POLICIES
+from repro.serve.streaming import StreamingRunner
 
 __all__ = [
     "build_daemon_parser",
@@ -90,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
     """Build the ``repro-serve`` argument parser.
 
     The description lists the solvers from the *live* backend registry, so
-    ``repro-serve --help`` reflects :func:`repro.serve.job.register_solver`
+    ``repro-serve --help`` reflects :func:`repro.core.backend.register_backend`
     calls made before parsing instead of an import-time snapshot.
     """
     parser = argparse.ArgumentParser(

@@ -28,14 +28,7 @@ from typing import Any
 import numpy as np
 import scipy.sparse as sp
 
-from repro.core.backend import (
-    BackendSpec,
-    LegacyBackend,
-    get_spec,
-    make_solver,
-    register_backend,
-    unregister_backend,
-)
+from repro.core.backend import get_spec, make_solver
 from repro.core.backend import solver_names as solver_names
 from repro.exceptions import ValidationError
 from repro.utils.blas import single_blas_thread
@@ -43,62 +36,11 @@ from repro.utils.timer import Timer
 from repro.utils.validation import ensure_2d
 
 __all__ = [
-    "SOLVER_NAMES",
     "solver_names",
     "LearningJob",
     "JobResult",
     "execute_job",
-    "register_solver",
-    "unregister_solver",
 ]
-
-
-def __getattr__(name: str):
-    """Keep ``SOLVER_NAMES`` as a *live* module attribute.
-
-    The old module constant was frozen at import time and went stale after
-    :func:`register_solver`/:func:`unregister_solver`; computing it on access
-    keeps existing callers correct.  New code should call
-    :func:`solver_names`.
-    """
-    if name == "SOLVER_NAMES":
-        return solver_names()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def register_solver(
-    name: str,
-    solver_class: type,
-    config_class: type,
-    overwrite: bool = False,
-    sparse: bool = False,
-) -> None:
-    """Register a custom solver for use in jobs.
-
-    ``solver_class(config)`` must expose ``fit(data, seed=..., ...)`` returning
-    an object with at least ``weights``, ``constraint_value``, ``converged``
-    and ``n_outer_iterations`` attributes (the :class:`LEASTResult` contract).
-    The pair is wrapped in a :class:`~repro.core.backend.LegacyBackend` and
-    entered into the live registry of :mod:`repro.core.backend` — code that
-    implements the :class:`~repro.core.backend.SolverBackend` protocol
-    directly should use :func:`repro.core.backend.register_backend` instead.
-    ``sparse=True`` marks solvers whose result weights are CSR.
-    """
-    register_backend(
-        BackendSpec(
-            name=name,
-            backend_class=LegacyBackend,
-            config_class=config_class,
-            solver_class=solver_class,
-            sparse=sparse,
-        ),
-        overwrite=overwrite,
-    )
-
-
-def unregister_solver(name: str) -> None:
-    """Remove a registered solver (built-ins included — use with care)."""
-    unregister_backend(name)
 
 
 @dataclass

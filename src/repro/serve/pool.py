@@ -32,18 +32,21 @@ escalation for solvers that never reach a boundary.
 
 Tracing (when a :class:`~repro.obs.Tracer` is set) adds the pool's own span
 vocabulary: a root-level ``worker_spawn`` span per worker (launch → ready
-handshake), root-level ``worker_idle`` spans for the gaps a worker spends
-waiting between jobs, a ``job_dispatch`` span per handoff (pickling + pipe
-write, parented on the job span), and a ``job_attempt`` span covering each
-killed attempt so queue waits and attempts together tile the job span even
-across requeues.  Pool health is exported as gauges/counters on the tracer's
-metrics registry (``serve_pool_workers``, ``serve_pool_busy_workers``,
-``serve_pool_pending_jobs``, ``serve_pool_spawns_total``,
-``serve_pool_recycles_total``, ``serve_worker_idle_seconds``).
+handshake; launch → close, with status ``never_ready``, for a worker the pool
+closed before its handshake), root-level ``worker_idle`` spans for the gaps a
+worker spends waiting between jobs, a ``job_dispatch`` span per handoff
+(pickling + pipe write, parented on the job span), and a ``job_attempt`` span
+covering each killed attempt so queue waits and attempts together tile the
+job span even across requeues.  Pool health is exported as gauges/counters on
+the tracer's metrics registry (``serve_pool_workers``,
+``serve_pool_busy_workers``, ``serve_pool_pending_jobs``,
+``serve_pool_spawns_total``, ``serve_pool_recycles_total``,
+``serve_worker_idle_seconds``).
 """
 
 from __future__ import annotations
 
+import contextlib
 import multiprocessing as mp
 import os
 import pickle
@@ -63,6 +66,7 @@ from repro.utils.blas import stop_blas_threads
 
 __all__ = [
     "PREEMPT_POLICIES",
+    "check_engine_options",
     "SoftDeadlineExceeded",
     "StreamTelemetry",
     "PoolJob",
@@ -71,6 +75,43 @@ __all__ = [
 
 #: Allowed values of the ``preempt_policy`` knob (pool and runner alike).
 PREEMPT_POLICIES: tuple[str, ...] = ("fail", "requeue")
+
+
+def check_engine_options(
+    n_workers: int,
+    *,
+    timeout: float | None,
+    soft_timeout: float | None,
+    max_retries: int,
+    preempt_policy: str,
+    preempt_retries: int,
+    max_jobs_per_worker: int | None,
+) -> None:
+    """Reject bad engine options (shared by the pool and the runner)."""
+    if n_workers < 1:
+        raise ValidationError(f"n_workers must be >= 1, got {n_workers}")
+    if timeout is not None and timeout <= 0:
+        raise ValidationError(f"timeout must be positive, got {timeout}")
+    if soft_timeout is not None and soft_timeout <= 0:
+        raise ValidationError(f"soft_timeout must be positive, got {soft_timeout}")
+    if timeout is not None and soft_timeout is not None and soft_timeout > timeout:
+        raise ValidationError(
+            f"soft_timeout ({soft_timeout}) must not exceed the hard "
+            f"timeout ({timeout})"
+        )
+    if max_retries < 0:
+        raise ValidationError(f"max_retries must be >= 0, got {max_retries}")
+    if preempt_policy not in PREEMPT_POLICIES:
+        raise ValidationError(
+            f"preempt_policy must be one of {PREEMPT_POLICIES}, "
+            f"got {preempt_policy!r}"
+        )
+    if preempt_retries < 0:
+        raise ValidationError(f"preempt_retries must be >= 0, got {preempt_retries}")
+    if max_jobs_per_worker is not None and max_jobs_per_worker < 1:
+        raise ValidationError(
+            f"max_jobs_per_worker must be >= 1, got {max_jobs_per_worker}"
+        )
 
 
 def _kill_grace() -> float:
@@ -222,7 +263,18 @@ def _run_one(payload: dict[str, Any]) -> JobResult:
         time.monotonic() + soft_timeout if soft_timeout is not None else None
     )
     trace_spec: _TraceSpec | None = payload["trace"]
-    if trace_spec is None:
+    with contextlib.ExitStack() as stack:
+        if trace_spec is not None:
+            tracer = Tracer(
+                NDJSONFileSink(trace_spec.spool_path), trace_id=trace_spec.trace_id
+            )
+            # Closed (last, on exit) before the result is sent, so the parent
+            # never merges a half-written spool for a job it counted finished.
+            stack.callback(tracer.close)
+            stack.enter_context(activated(tracer))
+            stack.enter_context(
+                tracer.span("worker", parent=trace_spec.parent_span_id, pid=os.getpid())
+            )
         return _execute_with_retry(
             job,
             payload["data"],
@@ -232,25 +284,6 @@ def _run_one(payload: dict[str, Any]) -> JobResult:
             soft_deadline_at=soft_deadline_at,
             soft_timeout=soft_timeout,
         )
-    tracer = Tracer(NDJSONFileSink(trace_spec.spool_path), trace_id=trace_spec.trace_id)
-    try:
-        with activated(tracer):
-            with tracer.span(
-                "worker", parent=trace_spec.parent_span_id, pid=os.getpid()
-            ):
-                return _execute_with_retry(
-                    job,
-                    payload["data"],
-                    payload["fingerprint"],
-                    payload["max_retries"],
-                    payload["base_attempts"],
-                    soft_deadline_at=soft_deadline_at,
-                    soft_timeout=soft_timeout,
-                )
-    finally:
-        # Closed before the result is sent so the parent never merges a
-        # half-written spool for a job it already counted finished.
-        tracer.close()
 
 
 def _pool_worker(conn, solver_registry: dict, worker_index: int) -> None:
@@ -504,38 +537,15 @@ class WorkerPool:
         telemetry: StreamTelemetry | None = None,
         spool_dir: str | None = None,
     ) -> None:
-        if n_workers < 1:
-            raise ValidationError(f"n_workers must be >= 1, got {n_workers}")
-        if timeout is not None and timeout <= 0:
-            raise ValidationError(f"timeout must be positive, got {timeout}")
-        if soft_timeout is not None and soft_timeout <= 0:
-            raise ValidationError(
-                f"soft_timeout must be positive, got {soft_timeout}"
-            )
-        if (
-            timeout is not None
-            and soft_timeout is not None
-            and soft_timeout > timeout
-        ):
-            raise ValidationError(
-                f"soft_timeout ({soft_timeout}) must not exceed the hard "
-                f"timeout ({timeout})"
-            )
-        if max_retries < 0:
-            raise ValidationError(f"max_retries must be >= 0, got {max_retries}")
-        if preempt_policy not in PREEMPT_POLICIES:
-            raise ValidationError(
-                f"preempt_policy must be one of {PREEMPT_POLICIES}, "
-                f"got {preempt_policy!r}"
-            )
-        if preempt_retries < 0:
-            raise ValidationError(
-                f"preempt_retries must be >= 0, got {preempt_retries}"
-            )
-        if max_jobs_per_worker is not None and max_jobs_per_worker < 1:
-            raise ValidationError(
-                f"max_jobs_per_worker must be >= 1, got {max_jobs_per_worker}"
-            )
+        check_engine_options(
+            n_workers,
+            timeout=timeout,
+            soft_timeout=soft_timeout,
+            max_retries=max_retries,
+            preempt_policy=preempt_policy,
+            preempt_retries=preempt_retries,
+            max_jobs_per_worker=max_jobs_per_worker,
+        )
         self.n_workers = int(n_workers)
         self.timeout = timeout
         self.soft_timeout = soft_timeout
@@ -628,6 +638,9 @@ class WorkerPool:
             return
         self._closed = True
         for worker in list(self._workers):
+            if not worker.ready:
+                # Stopped before its handshake: its spawn still happened.
+                self._record_spawn(worker, time.monotonic(), status="never_ready")
             if worker.current is None:
                 try:
                     worker.conn.send(None)
@@ -675,6 +688,19 @@ class WorkerPool:
         if self.tracer is not None:
             self.tracer.metrics.counter("serve_pool_spawns_total").inc()
         return worker
+
+    def _record_spawn(self, worker: _Worker, end: float, status: str = "ok") -> None:
+        """Emit the root-level ``worker_spawn`` span: launch → ``end``."""
+        if self.tracer is not None:
+            self.tracer.record_span(
+                "worker_spawn",
+                start=worker.launch_at,
+                duration=max(end - worker.launch_at, 0.0),
+                parent=None,
+                status=status,
+                worker=worker.index,
+                pid=worker.process.pid,
+            )
 
     def _ensure_workers(self) -> None:
         """Lazily keep just enough workers alive for the queued work."""
@@ -849,15 +875,7 @@ class WorkerPool:
             if kind == "ready":
                 worker.ready = True
                 worker.idle_since = time.monotonic()
-                if self.tracer is not None:
-                    self.tracer.record_span(
-                        "worker_spawn",
-                        start=worker.launch_at,
-                        duration=max(worker.idle_since - worker.launch_at, 0.0),
-                        parent=None,
-                        worker=worker.index,
-                        pid=worker.process.pid,
-                    )
+                self._record_spawn(worker, worker.idle_since)
                 return
             item = worker.current
             result: JobResult = payload

@@ -60,6 +60,7 @@ Environment knobs (also honored by the tier-1 test-suite):
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import os
 import shutil
@@ -71,17 +72,16 @@ from typing import Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from repro.exceptions import ValidationError
 from repro.obs import ResourceSampler, Tracer, activated
 from repro.serve.cache import ResultCache, job_fingerprint
 from repro.serve.job import JobResult, LearningJob
 from repro.serve.pool import (
-    PREEMPT_POLICIES,
     PoolJob,
     SoftDeadlineExceeded,
     StreamTelemetry,
     WorkerPool,
     _execute_with_retry,
+    check_engine_options,
 )
 
 __all__ = [
@@ -396,34 +396,15 @@ class StreamingRunner:
         soft_timeout: float | None = None,
         max_jobs_per_worker: int | None = None,
     ) -> None:
-        if n_workers < 1:
-            raise ValidationError(f"n_workers must be >= 1, got {n_workers}")
-        if timeout is not None and timeout <= 0:
-            raise ValidationError(f"timeout must be positive, got {timeout}")
-        if soft_timeout is not None and soft_timeout <= 0:
-            raise ValidationError(
-                f"soft_timeout must be positive, got {soft_timeout}"
-            )
-        if timeout is not None and soft_timeout is not None and soft_timeout > timeout:
-            raise ValidationError(
-                f"soft_timeout ({soft_timeout}) must not exceed the hard "
-                f"timeout ({timeout})"
-            )
-        if max_retries < 0:
-            raise ValidationError(f"max_retries must be >= 0, got {max_retries}")
-        if preempt_policy not in PREEMPT_POLICIES:
-            raise ValidationError(
-                f"preempt_policy must be one of {PREEMPT_POLICIES}, "
-                f"got {preempt_policy!r}"
-            )
-        if preempt_retries < 0:
-            raise ValidationError(
-                f"preempt_retries must be >= 0, got {preempt_retries}"
-            )
-        if max_jobs_per_worker is not None and max_jobs_per_worker < 1:
-            raise ValidationError(
-                f"max_jobs_per_worker must be >= 1, got {max_jobs_per_worker}"
-            )
+        check_engine_options(
+            n_workers,
+            timeout=timeout,
+            soft_timeout=soft_timeout,
+            max_retries=max_retries,
+            preempt_policy=preempt_policy,
+            preempt_retries=preempt_retries,
+            max_jobs_per_worker=max_jobs_per_worker,
+        )
         self.n_workers = int(n_workers)
         self.cache = cache
         self.timeout = timeout
@@ -705,7 +686,12 @@ class StreamingRunner:
             if self.soft_timeout is not None
             else None
         )
-        if self.tracer is None:
+        with contextlib.ExitStack() as stack:
+            if self.tracer is not None:
+                # No subprocess means no spool: the solve spans of execute_job
+                # land directly in the parent sink, parented under the job span.
+                stack.enter_context(activated(self.tracer))
+                stack.enter_context(self.tracer.use_parent(item.span))
             result = _execute_with_retry(
                 item.job,
                 item.data,
@@ -715,19 +701,6 @@ class StreamingRunner:
                 soft_deadline_at=soft_deadline_at,
                 soft_timeout=self.soft_timeout,
             )
-        else:
-            # No subprocess means no spool: the solve spans of execute_job
-            # land directly in the parent sink, parented under the job span.
-            with activated(self.tracer), self.tracer.use_parent(item.span):
-                result = _execute_with_retry(
-                    item.job,
-                    item.data,
-                    item.fingerprint,
-                    self.max_retries,
-                    item.base_attempts,
-                    soft_deadline_at=soft_deadline_at,
-                    soft_timeout=self.soft_timeout,
-                )
         if result.status == "preempted":
             self.telemetry.n_soft_preempted += 1
             if self.tracer is not None:

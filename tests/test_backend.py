@@ -8,8 +8,6 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-import repro.serve as serve_package
-import repro.serve.job as job_module
 from repro.core.backend import (
     BackendSpec,
     LEASTBackend,
@@ -25,7 +23,6 @@ from repro.core.backend import (
 )
 from repro.core.least import LEASTConfig
 from repro.exceptions import SoftDeadlineExceeded, ValidationError
-from repro.serve.job import register_solver, unregister_solver
 
 FAST = {"max_outer_iterations": 2, "max_inner_iterations": 25}
 
@@ -138,44 +135,50 @@ class _EchoConfig:
     value: float = 1.0
 
 
-class _EchoSolver:
-    """Legacy-contract solver: returns a fixed single-edge result."""
+class _EchoBackend:
+    """A custom backend: returns a fixed single-edge result."""
+
+    name = "echo"
 
     def __init__(self, config: _EchoConfig):
         self.config = config
 
-    def fit(self, data, seed=None):
-        from repro.core.least import LEASTResult
-
+    def fit(self, data, *, init_weights=None, deadline_hooks=None, rng=None):
         d = data.shape[1]
         weights = np.zeros((d, d))
         weights[0, -1] = self.config.value
-        return LEASTResult(
-            weights=weights, constraint_value=0.0, converged=True, n_outer_iterations=1
+        return SolveResult(
+            solver=self.name,
+            weights=weights,
+            constraint_value=0.0,
+            converged=True,
+            n_outer_iterations=1,
         )
 
 
+_ECHO = BackendSpec(name="echo", backend_class=_EchoBackend, config_class=_EchoConfig)
+
+
 class TestLiveRegistry:
-    """SOLVER_NAMES staleness: the registry is reflected on every access."""
+    """The registry is reflected on every access."""
 
     def test_register_unregister_reflected_everywhere(self):
+        from repro.serve import solver_names as serve_solver_names
+
         before = solver_names()
         assert "echo" not in before
-        register_solver("echo", _EchoSolver, _EchoConfig)
+        register_backend(_ECHO)
         try:
             assert "echo" in solver_names()
-            # The legacy module constant and the package re-export are live too.
-            assert "echo" in job_module.SOLVER_NAMES
-            assert "echo" in serve_package.SOLVER_NAMES
+            assert "echo" in serve_solver_names()
         finally:
-            unregister_solver("echo")
+            unregister_backend("echo")
         assert solver_names() == before
-        assert "echo" not in job_module.SOLVER_NAMES
 
     def test_cli_help_lists_live_registry(self):
         from repro.serve.cli import build_parser, build_shard_parser
 
-        register_solver("echo", _EchoSolver, _EchoConfig)
+        register_backend(_ECHO)
         try:
             assert "echo" in build_parser().description
             shard_parser = build_shard_parser()
@@ -184,38 +187,34 @@ class TestLiveRegistry:
             )
             assert "echo" in solver_action.help
         finally:
-            unregister_solver("echo")
-
-    def test_legacy_backend_fits_through_factory(self, data):
-        register_solver("echo", _EchoSolver, _EchoConfig)
-        try:
-            result = make_solver("echo", value=2.5).fit(data)
-            assert isinstance(result, SolveResult)
-            assert result.weights[0, -1] == 2.5
-            assert result.solver == "echo"
-        finally:
-            unregister_solver("echo")
+            unregister_backend("echo")
 
     def test_duplicate_registration_requires_overwrite(self):
-        register_solver("echo", _EchoSolver, _EchoConfig)
+        register_backend(_ECHO)
         try:
             with pytest.raises(ValidationError):
-                register_solver("echo", _EchoSolver, _EchoConfig)
-            register_solver("echo", _EchoSolver, _EchoConfig, overwrite=True)
+                register_backend(_ECHO)
+            register_backend(_ECHO, overwrite=True)
         finally:
-            unregister_solver("echo")
+            unregister_backend("echo")
 
     def test_register_backend_spec_directly(self, data):
         spec = BackendSpec(
             name="least-again", backend_class=LEASTBackend, config_class=LEASTConfig
         )
         register_backend(spec)
+        register_backend(_ECHO)
         try:
             assert "least-again" in solver_names()
             result = make_solver("least-again", **FAST).fit(data, rng=0)
             assert isinstance(result, SolveResult)
+            # A custom backend is built from its config overrides the same way.
+            echo = make_solver("echo", value=2.5).fit(data)
+            assert echo.weights[0, -1] == 2.5
+            assert echo.solver == "echo"
         finally:
             unregister_backend("least-again")
+            unregister_backend("echo")
 
 
 class TestJobIntegration:
@@ -224,12 +223,12 @@ class TestJobIntegration:
 
         with pytest.raises(ValidationError):
             LearningJob(solver="echo", data=data)
-        register_solver("echo", _EchoSolver, _EchoConfig)
+        register_backend(_ECHO)
         try:
             job = LearningJob(solver="echo", data=data)
             assert job.build_backend().name == "echo"
         finally:
-            unregister_solver("echo")
+            unregister_backend("echo")
 
     def test_execute_job_runs_sparse_backend(self, data):
         from repro.serve.job import LearningJob, execute_job

@@ -87,7 +87,7 @@ def test_public_members_have_docstrings(module):
         if inspect.ismodule(member):
             continue
         if not (inspect.isclass(member) or callable(member)):
-            continue  # data constants (e.g. SOLVER_NAMES) document themselves
+            continue  # data constants (e.g. PREEMPT_POLICIES) document themselves
         if not _documented(member):
             missing.append(f"{module.__name__}.{name}")
     assert not missing, f"undocumented public members: {missing}"

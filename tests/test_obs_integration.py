@@ -15,10 +15,16 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from repro.core.backend import (
+    BackendSpec,
+    SolveResult,
+    register_backend,
+    unregister_backend,
+)
 from repro.core.least import LEASTConfig
 from repro.obs import InMemorySink, Tracer, validate_trace, wall_clock_breakdown
 from repro.serve.cache import InMemoryCache
-from repro.serve.job import LearningJob, register_solver, unregister_solver
+from repro.serve.job import LearningJob
 from repro.serve.scheduler import RelearnScheduler
 from repro.serve.streaming import StreamingRunner
 from repro.shard.executor import ShardExecutor, solve_sharded
@@ -58,18 +64,19 @@ class _HangConfig:
     duration: float = 60.0
 
 
-class _HangSolver:
+class _HangBackend:
     """A solver that sleeps far past any reasonable deadline."""
+
+    name = "obs-hang"
 
     def __init__(self, config: _HangConfig):
         self.config = config
 
-    def fit(self, data, seed=None):
+    def fit(self, data, *, init_weights=None, deadline_hooks=None, rng=None):
         time.sleep(self.config.duration)
-        from repro.core.least import LEASTResult
-
         d = data.shape[1]
-        return LEASTResult(
+        return SolveResult(
+            solver=self.name,
             weights=np.zeros((d, d)),
             constraint_value=0.0,
             converged=True,
@@ -79,9 +86,14 @@ class _HangSolver:
 
 @pytest.fixture
 def hang_solver():
-    register_solver("obs-hang", _HangSolver, _HangConfig, overwrite=True)
+    register_backend(
+        BackendSpec(
+            name="obs-hang", backend_class=_HangBackend, config_class=_HangConfig
+        ),
+        overwrite=True,
+    )
     yield
-    unregister_solver("obs-hang")
+    unregister_backend("obs-hang")
 
 
 class TestTracedInlinePath:

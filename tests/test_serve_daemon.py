@@ -18,9 +18,14 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from repro.core.backend import (
+    BackendSpec,
+    SolveResult,
+    register_backend,
+    unregister_backend,
+)
 from repro.exceptions import ValidationError
 from repro.serve.daemon import ServeDaemon
-from repro.serve.job import register_solver, unregister_solver
 from repro.serve.streaming import StreamingRunner
 
 pytestmark = pytest.mark.timeout(180)
@@ -31,19 +36,20 @@ class _InstantConfig:
     duration: float = 0.0
 
 
-class _InstantSolver:
+class _InstantBackend:
     """Return an empty result immediately (optionally after a short nap)."""
+
+    name = "instant"
 
     def __init__(self, config: _InstantConfig):
         self.config = config
 
-    def fit(self, data, seed=None):
-        from repro.core.least import LEASTResult
-
+    def fit(self, data, *, init_weights=None, deadline_hooks=None, rng=None):
         if self.config.duration > 0:
             time.sleep(self.config.duration)
         d = data.shape[1]
-        return LEASTResult(
+        return SolveResult(
+            solver=self.name,
             weights=np.zeros((d, d)),
             constraint_value=0.0,
             converged=True,
@@ -53,9 +59,14 @@ class _InstantSolver:
 
 @pytest.fixture
 def instant_solver():
-    register_solver("instant", _InstantSolver, _InstantConfig, overwrite=True)
+    register_backend(
+        BackendSpec(
+            name="instant", backend_class=_InstantBackend, config_class=_InstantConfig
+        ),
+        overwrite=True,
+    )
     yield
-    unregister_solver("instant")
+    unregister_backend("instant")
 
 
 def _submission_line(tenant: str | None = None, **overrides) -> str:

@@ -36,8 +36,9 @@ from repro.core.backend import (
     unregister_backend,
 )
 from repro.exceptions import ValidationError
-from repro.serve.job import LearningJob, register_solver, unregister_solver
-from repro.serve.pool import WorkerPool
+from repro.obs import Tracer
+from repro.serve.job import LearningJob
+from repro.serve.pool import PoolJob, WorkerPool
 from repro.serve.streaming import SoftDeadlineExceeded, StreamingRunner
 
 pytestmark = pytest.mark.timeout(120)
@@ -58,20 +59,40 @@ class _NapConfig:
     duration: float = 0.0
 
 
-class _NapSolver:
+class _NapBackend:
     """Sleep ``duration`` seconds, then return an instant empty result."""
+
+    name = "nap"
 
     def __init__(self, config: _NapConfig):
         self.config = config
 
-    def fit(self, data, seed=None):
-        from repro.core.least import LEASTResult
-
+    def fit(self, data, *, init_weights=None, deadline_hooks=None, rng=None):
         if self.config.duration > 0:
             time.sleep(self.config.duration)
         d = data.shape[1]
-        return LEASTResult(
+        return SolveResult(
+            solver=self.name,
             weights=np.zeros((d, d)),
+            constraint_value=0.0,
+            converged=True,
+            n_outer_iterations=1,
+        )
+
+
+class _PidBackend:
+    """Return weights filled with the pid of the process that solved."""
+
+    name = "pid"
+
+    def __init__(self, config: _NapConfig):
+        self.config = config
+
+    def fit(self, data, *, init_weights=None, deadline_hooks=None, rng=None):
+        d = data.shape[1]
+        return SolveResult(
+            solver=self.name,
+            weights=np.full((d, d), float(os.getpid())),
             constraint_value=0.0,
             converged=True,
             n_outer_iterations=1,
@@ -80,9 +101,22 @@ class _NapSolver:
 
 @pytest.fixture
 def nap_solver():
-    register_solver("nap", _NapSolver, _NapConfig, overwrite=True)
+    register_backend(
+        BackendSpec(name="nap", backend_class=_NapBackend, config_class=_NapConfig),
+        overwrite=True,
+    )
     yield
-    unregister_solver("nap")
+    unregister_backend("nap")
+
+
+def _run_on_pool(pool: WorkerPool, job: LearningJob, timeout: float = 60.0):
+    """Submit one job to ``pool`` and poll until its result arrives."""
+    pool.submit(PoolJob(job=job))
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        for _, result in pool.poll(0.05):
+            return result
+    raise AssertionError(f"no result within {timeout}s")
 
 
 @dataclass(frozen=True)
@@ -94,11 +128,10 @@ class _IterConfig:
 
 
 class _IterBackend:
-    """Implements the backend protocol directly, honoring ``deadline_hooks``
-    once per outer iteration — the contract the soft-deadline tier rides on."""
+    """Honors ``deadline_hooks`` once per outer iteration — the contract the
+    soft-deadline tier rides on."""
 
     name = "iterhooks"
-    sparse = False
 
     def __init__(self, config: _IterConfig):
         self.config = config
@@ -134,38 +167,38 @@ def iter_backend():
     unregister_backend("iterhooks")
 
 
+_BAD_ENGINE_OPTIONS = [
+    {"n_workers": 0},
+    {"n_workers": 2, "timeout": 0.0},
+    {"n_workers": 2, "soft_timeout": -1.0},
+    {"n_workers": 2, "timeout": 1.0, "soft_timeout": 2.0},
+    {"n_workers": 2, "max_retries": -1},
+    {"n_workers": 2, "preempt_policy": "shrug"},
+    {"n_workers": 2, "preempt_retries": -1},
+    {"n_workers": 2, "max_jobs_per_worker": 0},
+]
+
+
 class TestPoolValidation:
+    # The pool and the runner share one set of engine-option checks; every
+    # bad option is rejected by both constructors.
     @pytest.mark.parametrize(
-        "kwargs",
+        "engine, kwargs",
         [
-            {"n_workers": 0},
-            {"n_workers": 2, "timeout": 0.0},
-            {"n_workers": 2, "soft_timeout": -1.0},
-            {"n_workers": 2, "timeout": 1.0, "soft_timeout": 2.0},
-            {"n_workers": 2, "max_retries": -1},
-            {"n_workers": 2, "preempt_policy": "shrug"},
-            {"n_workers": 2, "preempt_retries": -1},
-            {"n_workers": 2, "max_jobs_per_worker": 0},
+            pytest.param(engine, kwargs, id=f"{prefix}kwargs{i}")
+            for i, kwargs in enumerate(_BAD_ENGINE_OPTIONS)
+            for engine, prefix in ((WorkerPool, ""), (StreamingRunner, "runner-"))
         ],
     )
-    def test_constructor_rejects_bad_parameters(self, kwargs):
+    def test_constructor_rejects_bad_parameters(self, engine, kwargs):
+        kwargs = dict(kwargs)
         n_workers = kwargs.pop("n_workers")
         with pytest.raises(ValidationError):
-            WorkerPool(n_workers, **kwargs)
-
-    def test_runner_rejects_soft_timeout_above_hard(self):
-        with pytest.raises(ValidationError):
-            StreamingRunner(n_workers=2, timeout=1.0, soft_timeout=3.0)
-
-    def test_runner_rejects_bad_max_jobs_per_worker(self):
-        with pytest.raises(ValidationError):
-            StreamingRunner(n_workers=2, timeout=5.0, max_jobs_per_worker=0)
+            engine(n_workers, **kwargs)
 
     def test_submit_to_closed_pool_raises(self):
         pool = WorkerPool(1)
         pool.close()
-        from repro.serve.pool import PoolJob
-
         with pytest.raises(ValidationError):
             pool.submit(PoolJob(job=_inline_job()))
 
@@ -198,6 +231,50 @@ class TestWorkerReuse:
         # jobs is itself the proof the snapshot was not re-paid per job).
         assert registry_epoch() == epoch_before
         assert runner.telemetry.n_workers_spawned == 1
+
+    def test_registry_change_reaches_a_live_worker(self, nap_solver):
+        """A backend registered after the worker spawned is served by that
+        same worker: the dispatch ships a fresh snapshot once the epoch moved."""
+        pool = WorkerPool(1, timeout=30.0)
+        try:
+            first = _run_on_pool(
+                pool, LearningJob(solver="nap", data=np.zeros((4, 3)))
+            )
+            register_backend(
+                BackendSpec(
+                    name="pid", backend_class=_PidBackend, config_class=_NapConfig
+                ),
+                overwrite=True,
+            )
+            try:
+                second = _run_on_pool(
+                    pool, LearningJob(solver="pid", data=np.zeros((4, 3)))
+                )
+            finally:
+                unregister_backend("pid")
+        finally:
+            pool.close()
+        assert (first.status, second.status) == ("ok", "ok"), second.error
+        assert pool.telemetry.n_workers_spawned == 1
+        (worker_pid,) = pool.telemetry.worker_pids
+        assert second.weights[0, 0] == worker_pid
+
+    def test_workers_closed_before_ready_still_record_their_spawn(self):
+        """Every spawned worker leaves a ``worker_spawn`` span, even one the
+        pool closed before its ready handshake was read."""
+        tracer = Tracer()
+        pool = WorkerPool(2, tracer=tracer)
+        pool.submit(PoolJob(job=_inline_job(seed=0)))
+        pool.submit(PoolJob(job=_inline_job(seed=1)))
+        pool.close()
+        spawns = [s for s in tracer.sink.spans() if s["name"] == "worker_spawn"]
+        assert pool.telemetry.n_workers_spawned == 2
+        assert len(spawns) == 2
+        assert all(s["status"] == "never_ready" for s in spawns)
+        assert all(s["parent_id"] is None for s in spawns)
+        assert sorted(s["attributes"]["pid"] for s in spawns) == sorted(
+            pool.telemetry.worker_pids
+        )
 
     def test_recycling_after_max_jobs_per_worker(self, nap_solver):
         jobs = [

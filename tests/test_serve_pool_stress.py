@@ -28,7 +28,13 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from repro.serve.job import LearningJob, register_solver, unregister_solver
+from repro.core.backend import (
+    BackendSpec,
+    SolveResult,
+    register_backend,
+    unregister_backend,
+)
+from repro.serve.job import LearningJob
 from repro.serve.streaming import StreamingRunner
 
 pytestmark = pytest.mark.timeout(300)
@@ -46,22 +52,23 @@ class _StressConfig:
     duration: float = 0.01
 
 
-class _StressSolver:
+class _StressBackend:
     """Succeed instantly, kill its worker, or hang far past any deadline."""
+
+    name = "stress"
 
     def __init__(self, config: _StressConfig):
         self.config = config
 
-    def fit(self, data, seed=None):
-        from repro.core.least import LEASTResult
-
+    def fit(self, data, *, init_weights=None, deadline_hooks=None, rng=None):
         if self.config.mode == "crash":
             os._exit(17)
         if self.config.mode == "hang":
             time.sleep(60.0)
         time.sleep(self.config.duration)
         d = data.shape[1]
-        return LEASTResult(
+        return SolveResult(
+            solver=self.name,
             weights=np.zeros((d, d)),
             constraint_value=0.0,
             converged=True,
@@ -71,9 +78,14 @@ class _StressSolver:
 
 @pytest.fixture
 def stress_solver():
-    register_solver("stress", _StressSolver, _StressConfig, overwrite=True)
+    register_backend(
+        BackendSpec(
+            name="stress", backend_class=_StressBackend, config_class=_StressConfig
+        ),
+        overwrite=True,
+    )
     yield
-    unregister_solver("stress")
+    unregister_backend("stress")
 
 
 def _children_of_self() -> set[int]:

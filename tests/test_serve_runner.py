@@ -8,15 +8,16 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from repro.core.backend import (
+    BackendSpec,
+    SolveResult,
+    register_backend,
+    unregister_backend,
+)
 from repro.datasets.registry import register_dataset, unregister_dataset
 from repro.exceptions import ValidationError
 from repro.serve.cache import InMemoryCache
-from repro.serve.job import (
-    LearningJob,
-    execute_job,
-    register_solver,
-    unregister_solver,
-)
+from repro.serve.job import LearningJob, execute_job
 from repro.serve.streaming import StreamingRunner
 
 FAST_CONFIG = {"max_outer_iterations": 3, "max_inner_iterations": 40}
@@ -39,21 +40,26 @@ class _SleepyConfig:
     duration: float = 0.5
 
 
-class _SleepySolver:
+def _empty_result(solver: str, data) -> SolveResult:
+    d = data.shape[1]
+    return SolveResult(
+        solver=solver,
+        weights=np.zeros((d, d)),
+        constraint_value=0.0,
+        converged=True,
+        n_outer_iterations=1,
+    )
+
+
+class _SleepyBackend:
+    name = "sleepy"
+
     def __init__(self, config: _SleepyConfig):
         self.config = config
 
-    def fit(self, data, seed=None):
+    def fit(self, data, *, init_weights=None, deadline_hooks=None, rng=None):
         time.sleep(self.config.duration)
-        from repro.core.least import LEASTResult
-
-        d = data.shape[1]
-        return LEASTResult(
-            weights=np.zeros((d, d)),
-            constraint_value=0.0,
-            converged=True,
-            n_outer_iterations=1,
-        )
+        return _empty_result(self.name, data)
 
 
 _FLAKY_CALLS = {"count": 0}
@@ -64,38 +70,42 @@ class _FlakyConfig:
     fail_times: int = 1
 
 
-class _FlakySolver:
+class _FlakyBackend:
+    name = "flaky"
+
     def __init__(self, config: _FlakyConfig):
         self.config = config
 
-    def fit(self, data, seed=None):
+    def fit(self, data, *, init_weights=None, deadline_hooks=None, rng=None):
         _FLAKY_CALLS["count"] += 1
         if _FLAKY_CALLS["count"] <= self.config.fail_times:
             raise RuntimeError("transient solver failure")
-        from repro.core.least import LEASTResult
-
-        d = data.shape[1]
-        return LEASTResult(
-            weights=np.zeros((d, d)),
-            constraint_value=0.0,
-            converged=True,
-            n_outer_iterations=1,
-        )
+        return _empty_result(self.name, data)
 
 
 @pytest.fixture
 def sleepy_solver():
-    register_solver("sleepy", _SleepySolver, _SleepyConfig, overwrite=True)
+    register_backend(
+        BackendSpec(
+            name="sleepy", backend_class=_SleepyBackend, config_class=_SleepyConfig
+        ),
+        overwrite=True,
+    )
     yield
-    unregister_solver("sleepy")
+    unregister_backend("sleepy")
 
 
 @pytest.fixture
 def flaky_solver():
     _FLAKY_CALLS["count"] = 0
-    register_solver("flaky", _FlakySolver, _FlakyConfig, overwrite=True)
+    register_backend(
+        BackendSpec(
+            name="flaky", backend_class=_FlakyBackend, config_class=_FlakyConfig
+        ),
+        overwrite=True,
+    )
     yield
-    unregister_solver("flaky")
+    unregister_backend("flaky")
 
 
 class TestLearningJob:

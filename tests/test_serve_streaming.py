@@ -10,10 +10,16 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from repro.core.backend import (
+    BackendSpec,
+    SolveResult,
+    register_backend,
+    unregister_backend,
+)
 from repro.core.least import LEASTConfig
 from repro.exceptions import ValidationError
 from repro.serve.cache import DiskCache, InMemoryCache
-from repro.serve.job import LearningJob, register_solver, unregister_solver
+from repro.serve.job import LearningJob
 from repro.serve.scheduler import RelearnScheduler
 from repro.serve.streaming import StreamingRunner
 
@@ -37,23 +43,35 @@ class _HangConfig:
     duration: float = 60.0
 
 
-class _HangSolver:
+def _empty_result(solver: str, data) -> SolveResult:
+    d = data.shape[1]
+    return SolveResult(
+        solver=solver,
+        weights=np.zeros((d, d)),
+        constraint_value=0.0,
+        converged=True,
+        n_outer_iterations=1,
+    )
+
+
+def _register(name: str, backend_class: type, config_class: type) -> None:
+    register_backend(
+        BackendSpec(name=name, backend_class=backend_class, config_class=config_class),
+        overwrite=True,
+    )
+
+
+class _HangBackend:
     """A solver that sleeps far past any reasonable deadline."""
+
+    name = "hang"
 
     def __init__(self, config: _HangConfig):
         self.config = config
 
-    def fit(self, data, seed=None):
+    def fit(self, data, *, init_weights=None, deadline_hooks=None, rng=None):
         time.sleep(self.config.duration)
-        from repro.core.least import LEASTResult
-
-        d = data.shape[1]
-        return LEASTResult(
-            weights=np.zeros((d, d)),
-            constraint_value=0.0,
-            converged=True,
-            n_outer_iterations=1,
-        )
+        return _empty_result(self.name, data)
 
 
 @dataclass(frozen=True)
@@ -64,35 +82,29 @@ class _MarkerConfig:
     duration: float = 60.0
 
 
-class _MarkerSolver:
+class _MarkerBackend:
     """Hangs on the first attempt, succeeds once its marker file exists."""
+
+    name = "marker"
 
     def __init__(self, config: _MarkerConfig):
         self.config = config
 
-    def fit(self, data, seed=None):
+    def fit(self, data, *, init_weights=None, deadline_hooks=None, rng=None):
         from pathlib import Path
 
         marker = Path(self.config.marker_path)
         if not marker.exists():
             marker.touch()
             time.sleep(self.config.duration)
-        from repro.core.least import LEASTResult
-
-        d = data.shape[1]
-        return LEASTResult(
-            weights=np.zeros((d, d)),
-            constraint_value=0.0,
-            converged=True,
-            n_outer_iterations=1,
-        )
+        return _empty_result(self.name, data)
 
 
 @pytest.fixture
 def marker_solver():
-    register_solver("marker", _MarkerSolver, _MarkerConfig, overwrite=True)
+    _register("marker", _MarkerBackend, _MarkerConfig)
     yield
-    unregister_solver("marker")
+    unregister_backend("marker")
 
 
 @dataclass(frozen=True)
@@ -100,28 +112,36 @@ class _CrashConfig:
     exit_code: int = 3
 
 
-class _CrashSolver:
-    """A solver whose worker dies without ever reporting back."""
+class _CrashBackend:
+    """A solver whose worker dies without ever reporting back.
+
+    Its hooks run once first, so a traced worker flushes one ``outer_iter``
+    slice whose parent ``solve`` span never ends.
+    """
+
+    name = "crash"
 
     def __init__(self, config: _CrashConfig):
         self.config = config
 
-    def fit(self, data, seed=None):
+    def fit(self, data, *, init_weights=None, deadline_hooks=None, rng=None):
+        for hook in deadline_hooks or ():
+            hook()
         os._exit(self.config.exit_code)
 
 
 @pytest.fixture
 def hang_solver():
-    register_solver("hang", _HangSolver, _HangConfig, overwrite=True)
+    _register("hang", _HangBackend, _HangConfig)
     yield
-    unregister_solver("hang")
+    unregister_backend("hang")
 
 
 @pytest.fixture
 def crash_solver():
-    register_solver("crash", _CrashSolver, _CrashConfig, overwrite=True)
+    _register("crash", _CrashBackend, _CrashConfig)
     yield
-    unregister_solver("crash")
+    unregister_backend("crash")
 
 
 @dataclass(frozen=True)
@@ -129,21 +149,23 @@ class _RaiseConfig:
     pass
 
 
-class _RaiseSolver:
+class _RaiseBackend:
     """A solver whose fit raises (module-level, hence spawn-picklable)."""
+
+    name = "raise"
 
     def __init__(self, config: _RaiseConfig):
         self.config = config
 
-    def fit(self, data, seed=None, init_weights=None):
+    def fit(self, data, *, init_weights=None, deadline_hooks=None, rng=None):
         raise ValueError("inner failure")
 
 
 @pytest.fixture
 def raise_solver():
-    register_solver("raise", _RaiseSolver, _RaiseConfig, overwrite=True)
+    _register("raise", _RaiseBackend, _RaiseConfig)
     yield
-    unregister_solver("raise")
+    unregister_backend("raise")
 
 
 class TestStreamingOrder:
@@ -279,13 +301,15 @@ class _SigkillConfig:
     pass
 
 
-class _SigkillSolver:
+class _SigkillBackend:
     """A solver whose worker is SIGKILLed externally (simulated OOM kill)."""
+
+    name = "sigkill"
 
     def __init__(self, config: _SigkillConfig):
         self.config = config
 
-    def fit(self, data, seed=None):
+    def fit(self, data, *, init_weights=None, deadline_hooks=None, rng=None):
         import signal as _signal
 
         os.kill(os.getpid(), _signal.SIGKILL)
@@ -293,9 +317,9 @@ class _SigkillSolver:
 
 @pytest.fixture
 def sigkill_solver():
-    register_solver("sigkill", _SigkillSolver, _SigkillConfig, overwrite=True)
+    _register("sigkill", _SigkillBackend, _SigkillConfig)
     yield
-    unregister_solver("sigkill")
+    unregister_backend("sigkill")
 
 
 class TestWorkerCrashes:
@@ -532,7 +556,7 @@ class _SigalrmConfig:
     pass
 
 
-class _SigalrmSolver:
+class _SigalrmBackend:
     """A solver that trips the worker's own SIGALRM suicide disposition.
 
     With a deadline set, ``_arm_suicide_timer`` leaves SIGALRM at its default
@@ -541,10 +565,12 @@ class _SigalrmSolver:
     out a real deadline.
     """
 
+    name = "sigalrm"
+
     def __init__(self, config: _SigalrmConfig):
         self.config = config
 
-    def fit(self, data, seed=None):
+    def fit(self, data, *, init_weights=None, deadline_hooks=None, rng=None):
         import signal as _signal
 
         os.kill(os.getpid(), _signal.SIGALRM)
@@ -552,9 +578,9 @@ class _SigalrmSolver:
 
 @pytest.fixture
 def sigalrm_solver():
-    register_solver("sigalrm", _SigalrmSolver, _SigalrmConfig, overwrite=True)
+    _register("sigalrm", _SigalrmBackend, _SigalrmConfig)
     yield
-    unregister_solver("sigalrm")
+    unregister_backend("sigalrm")
 
 
 class TestTelemetryEdgeCases:

@@ -106,19 +106,6 @@ class TestSolverInitWeights:
         with pytest.raises(ValidationError):
             LEAST(config).fit(data, seed=0, init_weights=np.full((d, d), np.nan))
 
-    def test_least_config_init_weights_field(self, er2_problem):
-        data = er2_problem["data"]
-        d = data.shape[1]
-        init = np.zeros((d, d))
-        init[0, 1] = 0.3
-        config = LEASTConfig(
-            max_outer_iterations=1, max_inner_iterations=1, init_weights=init
-        )
-        result = LEAST(config).fit(data, seed=0)
-        assert result.weights.shape == (d, d)
-        with pytest.raises(ValidationError):
-            LEASTConfig(init_weights=np.zeros((2, 3)))
-
     def test_least_warm_start_converges_to_equivalent_solution(self, er2_problem):
         """Warm-starting from a converged solution recovers the same structure."""
         data = er2_problem["data"]
@@ -444,27 +431,39 @@ class TestSchedulerBackendEdgeCases:
         """warm_inner_scale must not read fields a custom config lacks."""
         from dataclasses import dataclass
 
-        from repro.core.least import LEASTResult
-        from repro.serve.job import register_solver, unregister_solver
+        from repro.core.backend import (
+            BackendSpec,
+            SolveResult,
+            register_backend,
+            unregister_backend,
+        )
 
         @dataclass(frozen=True)
         class _BareConfig:
             pass
 
-        class _BareSolver:
+        class _BareBackend:
+            name = "bare"
+
             def __init__(self, config):
                 self.config = config
 
-            def fit(self, data, seed=None, init_weights=None):
+            def fit(self, data, *, init_weights=None, deadline_hooks=None, rng=None):
                 d = data.shape[1]
-                return LEASTResult(
+                return SolveResult(
+                    solver=self.name,
                     weights=np.eye(d) * 0.0,
                     constraint_value=0.0,
                     converged=True,
                     n_outer_iterations=1,
                 )
 
-        register_solver("bare", _BareSolver, _BareConfig, overwrite=True)
+        register_backend(
+            BackendSpec(
+                name="bare", backend_class=_BareBackend, config_class=_BareConfig
+            ),
+            overwrite=True,
+        )
         try:
             scheduler = RelearnScheduler(solver="bare")
             data, names = self._window(1)
@@ -473,7 +472,7 @@ class TestSchedulerBackendEdgeCases:
             assert scheduler.history[-1].warm_started
             assert result.converged
         finally:
-            unregister_solver("bare")
+            unregister_backend("bare")
 
     def test_sharded_sparse_default_uses_correlation_support(self, monkeypatch):
         """The dumped sparse defaults must not pin support="random"."""

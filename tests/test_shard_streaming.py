@@ -20,10 +20,16 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.core.least import LEASTConfig, LEASTResult
+from repro.core.backend import (
+    BackendSpec,
+    SolveResult,
+    register_backend,
+    unregister_backend,
+)
+from repro.core.least import LEASTConfig
 from repro.exceptions import ValidationError
 from repro.graph.dag import is_dag
-from repro.serve.job import JobResult, register_solver, unregister_solver
+from repro.serve.job import JobResult
 from repro.serve.scheduler import RelearnScheduler
 from repro.shard.executor import ShardExecutor, ShardResult, solve_sharded
 from repro.shard.planner import ShardBlock, ShardPlan, ShardPlanner
@@ -45,23 +51,34 @@ class _SizeHangConfig:
     duration: float = 60.0
 
 
-class _SizeHangSolver:
+def _chain_result(solver: str, d: int) -> SolveResult:
+    """A converged solve returning the chain 0 → 1 → ... → d-1."""
+    weights = np.zeros((d, d))
+    for i in range(d - 1):
+        weights[i, i + 1] = 1.0
+    return SolveResult(
+        solver=solver,
+        weights=weights,
+        constraint_value=0.0,
+        converged=True,
+        n_outer_iterations=1,
+    )
+
+
+class _SizeHangBackend:
     """Hangs on blocks with >= ``hang_at_least`` columns, else solves a chain."""
+
+    name = "shard-hang"
 
     def __init__(self, config: _SizeHangConfig):
         self.config = config
 
-    def fit(self, data, seed=None):
+    def fit(self, data, *, init_weights=None, deadline_hooks=None, rng=None):
         """Return a chain graph instantly, or sleep far past any deadline."""
         d = data.shape[1]
         if d >= self.config.hang_at_least:
             time.sleep(self.config.duration)
-        weights = np.zeros((d, d))
-        for i in range(d - 1):
-            weights[i, i + 1] = 1.0
-        return LEASTResult(
-            weights=weights, constraint_value=0.0, converged=True, n_outer_iterations=1
-        )
+        return _chain_result(self.name, d)
 
 
 @dataclass(frozen=True)
@@ -71,39 +88,50 @@ class _SizeBoomConfig:
     boom_at_least: int = 10_000
 
 
-class _SizeBoomSolver:
+class _SizeBoomBackend:
     """Raises on blocks with >= ``boom_at_least`` columns, else solves a chain."""
+
+    name = "shard-boom"
 
     def __init__(self, config: _SizeBoomConfig):
         self.config = config
 
-    def fit(self, data, seed=None):
+    def fit(self, data, *, init_weights=None, deadline_hooks=None, rng=None):
         """Return a chain graph, or raise to exercise the failed path."""
         d = data.shape[1]
         if d >= self.config.boom_at_least:
             raise ValueError("block solver exploded")
-        weights = np.zeros((d, d))
-        for i in range(d - 1):
-            weights[i, i + 1] = 1.0
-        return LEASTResult(
-            weights=weights, constraint_value=0.0, converged=True, n_outer_iterations=1
-        )
+        return _chain_result(self.name, d)
 
 
 @pytest.fixture()
 def hang_solver():
     """Register the hanging solver for the duration of one test."""
-    register_solver("shard-hang", _SizeHangSolver, _SizeHangConfig, overwrite=True)
+    register_backend(
+        BackendSpec(
+            name="shard-hang",
+            backend_class=_SizeHangBackend,
+            config_class=_SizeHangConfig,
+        ),
+        overwrite=True,
+    )
     yield "shard-hang"
-    unregister_solver("shard-hang")
+    unregister_backend("shard-hang")
 
 
 @pytest.fixture()
 def boom_solver():
     """Register the crashing solver for the duration of one test."""
-    register_solver("shard-boom", _SizeBoomSolver, _SizeBoomConfig, overwrite=True)
+    register_backend(
+        BackendSpec(
+            name="shard-boom",
+            backend_class=_SizeBoomBackend,
+            config_class=_SizeBoomConfig,
+        ),
+        overwrite=True,
+    )
     yield "shard-boom"
-    unregister_solver("shard-boom")
+    unregister_backend("shard-boom")
 
 
 def _two_block_plan() -> tuple[np.ndarray, ShardPlan]:

@@ -18,11 +18,15 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.core.least import LEASTResult
+from repro.core.backend import (
+    BackendSpec,
+    SolveResult,
+    register_backend,
+    unregister_backend,
+)
 from repro.exceptions import ValidationError
 from repro.graph.dag import is_dag
 from repro.metrics.structural import recall
-from repro.serve.job import register_solver, unregister_solver
 from repro.shard.executor import (
     MISSING_NODES_REPORT_CAP,
     ShardExecutor,
@@ -46,13 +50,15 @@ class _AlwaysBoomConfig:
     message: str = "block solver exploded"
 
 
-class _AlwaysBoomSolver:
+class _AlwaysBoomBackend:
     """Raises on every fit call — the all-blocks-failed scenario."""
+
+    name = "wave-boom"
 
     def __init__(self, config: _AlwaysBoomConfig):
         self.config = config
 
-    def fit(self, data, seed=None):
+    def fit(self, data, *, init_weights=None, deadline_hooks=None, rng=None):
         raise ValueError(self.config.message)
 
 
@@ -63,32 +69,50 @@ class _NoWeightsConfig:
     pass
 
 
-class _NoWeightsSolver:
+class _NoWeightsBackend:
     """Reports a successful solve but returns no weight matrix."""
+
+    name = "wave-noweights"
 
     def __init__(self, config: _NoWeightsConfig):
         self.config = config
 
-    def fit(self, data, seed=None):
-        return LEASTResult(
-            weights=None, constraint_value=0.0, converged=True, n_outer_iterations=1
+    def fit(self, data, *, init_weights=None, deadline_hooks=None, rng=None):
+        return SolveResult(
+            solver=self.name,
+            weights=None,
+            constraint_value=0.0,
+            converged=True,
+            n_outer_iterations=1,
         )
 
 
 @pytest.fixture
 def boom_solver():
-    register_solver("wave-boom", _AlwaysBoomSolver, _AlwaysBoomConfig, overwrite=True)
+    register_backend(
+        BackendSpec(
+            name="wave-boom",
+            backend_class=_AlwaysBoomBackend,
+            config_class=_AlwaysBoomConfig,
+        ),
+        overwrite=True,
+    )
     yield "wave-boom"
-    unregister_solver("wave-boom")
+    unregister_backend("wave-boom")
 
 
 @pytest.fixture
 def no_weights_solver():
-    register_solver(
-        "wave-noweights", _NoWeightsSolver, _NoWeightsConfig, overwrite=True
+    register_backend(
+        BackendSpec(
+            name="wave-noweights",
+            backend_class=_NoWeightsBackend,
+            config_class=_NoWeightsConfig,
+        ),
+        overwrite=True,
     )
     yield "wave-noweights"
-    unregister_solver("wave-noweights")
+    unregister_backend("wave-noweights")
 
 
 def _chain_data(d: int, n: int = 300, seed: int = 1) -> np.ndarray:
