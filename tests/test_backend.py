@@ -189,6 +189,17 @@ class TestLiveRegistry:
         finally:
             unregister_backend("echo")
 
+    def test_legacy_backend_fits_through_factory(self, data):
+        # A custom (non-built-in) backend is built from its config overrides.
+        register_backend(_ECHO)
+        try:
+            result = make_solver("echo", value=2.5).fit(data)
+            assert isinstance(result, SolveResult)
+            assert result.weights[0, -1] == 2.5
+            assert result.solver == "echo"
+        finally:
+            unregister_backend("echo")
+
     def test_duplicate_registration_requires_overwrite(self):
         register_backend(_ECHO)
         try:
@@ -203,18 +214,12 @@ class TestLiveRegistry:
             name="least-again", backend_class=LEASTBackend, config_class=LEASTConfig
         )
         register_backend(spec)
-        register_backend(_ECHO)
         try:
             assert "least-again" in solver_names()
             result = make_solver("least-again", **FAST).fit(data, rng=0)
             assert isinstance(result, SolveResult)
-            # A custom backend is built from its config overrides the same way.
-            echo = make_solver("echo", value=2.5).fit(data)
-            assert echo.weights[0, -1] == 2.5
-            assert echo.solver == "echo"
         finally:
             unregister_backend("least-again")
-            unregister_backend("echo")
 
 
 class TestJobIntegration:
